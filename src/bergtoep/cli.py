@@ -9,7 +9,9 @@ under --strict, validation failure), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,9 +23,12 @@ from .symbols import HarmonicPolySymbol, SpecialFamilySymbol
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_family(text: str) -> SpecialFamilySymbol:
@@ -42,7 +47,10 @@ def _parse_family(text: str) -> SpecialFamilySymbol:
         raise argparse.ArgumentTypeError(f"bad --family value: {exc}") from exc
     if fields:
         raise argparse.ArgumentTypeError(f"unknown family keys {sorted(fields)}")
-    return SpecialFamilySymbol(m, alpha, beta, gamma)
+    try:
+        return SpecialFamilySymbol(m, alpha, beta, gamma)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad --family value: {exc}") from exc
 
 
 def _parse_grid(text: str):
@@ -50,6 +58,8 @@ def _parse_grid(text: str):
     if len(parts) != 5:
         raise argparse.ArgumentTypeError("grid must be re0,re1,im0,im1,res")
     re0, re1, im0, im1 = (float(p) for p in parts[:4])
+    if not all(math.isfinite(x) for x in (re0, re1, im0, im1)):
+        raise argparse.ArgumentTypeError("grid bounds must be finite")
     res = int(parts[4])
     if res < 16:
         raise argparse.ArgumentTypeError("grid resolution must be at least 16")
@@ -61,9 +71,8 @@ def _load_symbol(args) -> symbols.Symbol:
         return args.family
     if args.symbol is not None:
         text = args.symbol
-        path = Path(text)
-        if path.exists():
-            text = path.read_text(encoding="utf-8")
+        if not text.lstrip().startswith("{"):
+            text = Path(text).read_text(encoding="utf-8")
         return symbols.from_json(text)
     raise SystemExit(2)
 
@@ -73,6 +82,8 @@ def _require_symbol(parser, args) -> symbols.Symbol:
         parser.error("one of --family or --symbol is required")
     try:
         return _load_symbol(args)
+    except OSError as exc:
+        parser.error(f"cannot read symbol file: {exc}")
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         parser.error(f"bad symbol JSON: {exc}")
 
@@ -596,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, need_lambda=False):
         p.add_argument("--family", type=_parse_family,
                        help="inline family m=..,alpha=..,beta=..[,gamma=..]")
-        p.add_argument("--symbol", help="symbol JSON (inline or file path)")
+        p.add_argument("--symbol",
+                       help="symbol JSON: inline text starting with {, or a file path")
         p.add_argument("--grid", type=_parse_grid, default=None,
                        help="re0,re1,im0,im1,res")
         p.add_argument("--K", type=int, default=20000)

@@ -23,8 +23,13 @@ boundary are reported as undecided, never rounded.
 
 Growth can exceed the double range long before K = 20000, so streams are
 generated with block renormalization: stored values are mantissas with a
-shared log scale, and true log magnitudes are recorded per entry at
-creation time.
+shared log scale, and true log magnitudes follow from the moduli and the
+scale in force when each entry was created.  A rescale multiplies only the
+recursion's lookback window (m + n + 1 entries for a general symbol, m +
+the largest shift + 1 for conj(z)^m + f); the older entries owe the factor,
+and the owed factors are applied in order, with Python's complex-by-float
+rounding, when the stream is finished.  The mantissas are therefore the
+same as if every rescale had rewritten the whole history.
 """
 
 from __future__ import annotations
@@ -114,54 +119,114 @@ class CoefficientStream:
 
         re/im are mantissas; the true coefficient is (re+1j*im)*exp(log_scale).
         """
-        npart = self.norm_partials
+        tail = f",{self.log_scale!r}\n"
+        rows = zip(self.mant.tolist(), self.norm_partials.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,re,im,norm_partial,log_scale\n")
-            for k in range(len(self.mant)):
-                v = self.mant[k]
-                fh.write(f"{k},{float(v.real)!r},{float(v.imag)!r},"
-                         f"{float(npart[k])!r},{self.log_scale!r}\n")
+            fh.writelines(f"{k},{v.real!r},{v.imag!r},{p!r}{tail}"
+                          for k, (v, p) in enumerate(rows))
+
+
+def _log_moduli(mods: np.ndarray, scales: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """log(mod) + scale where ``nonzero``, -inf elsewhere.
+
+    Each entry is ``math.log(mod) + scale``, the value a per-term
+    ``math.log`` call gives; numpy's vectorized log may round differently.
+    """
+    out = np.full(len(mods), -np.inf)
+    idx = np.flatnonzero(nonzero)
+    logs = np.fromiter(map(math.log, mods[idx].tolist()), dtype=float, count=len(idx))
+    out[idx] = logs + scales[idx]
+    return out
+
+
+# Whether complex * float promotes the float to complex(f, 0.0), as CPython
+# before 3.14 does; the promoted zero can flip the sign of a zero part.
+_PROMOTES_REAL = math.copysign(1.0, (complex(-0.0, -1.0) * 1.0).real) > 0.0
+
+
+def _apply_owed(mant: np.ndarray, owed: Sequence[tuple[int, float]]) -> None:
+    """In place: mant[:cut] *= factor for each (cut, factor), in order.
+
+    Every product is rounded as the Python ``complex * float`` the factor
+    would have been applied with at rescale time, zero signs included.
+    """
+    re, im = mant.real, mant.imag
+    with np.errstate(invalid="ignore"):
+        for cut, f in owed:
+            r, i = re[:cut], im[:cut]
+            r0 = r * 0.0
+            i0 = i * 0.0
+            r *= f
+            i *= f
+            if _PROMOTES_REAL:
+                # re*f - im*0.0 and re*0.0 + im*f, operands in CPython's order
+                r -= i0
+                np.add(r0, i, out=i)
 
 
 class _StreamBuilder:
-    """Appends coefficients with overflow-safe block renormalization."""
+    """Appends coefficients with overflow-safe block renormalization.
 
-    def __init__(self, stride: int):
+    A rescale multiplies only the trailing ``window`` entries, the lookback
+    the recursion still reads.  Older entries owe the factor: each rescale
+    records (cut, factor), and ``finish`` applies the owed factors to the
+    entries below each cut in the order they were recorded, so every
+    mantissa is rounded exactly as if the whole history had been rescaled
+    each time.  Moduli are recorded at creation and turned into log
+    magnitudes, with the scale in force at creation, by ``finish``.
+
+    Hot loops may append to ``vals`` and ``mods`` directly and track the
+    block state (``since``, ``blockmax``) in locals, calling ``rescale``
+    when ``append`` would have.
+    """
+
+    def __init__(self, stride: int, window: int):
         self.vals: list[complex] = []
-        self.logmag: list[float] = []
+        self.mods: list[float] = []
         self.scale = 0.0
         self.stride = stride
-        self._since = 0
-        self._blockmax = 0.0
+        self.window = window
+        self.since = 0
+        self.blockmax = 0.0
+        self._owed: list[tuple[int, float]] = []
+        self._scale_from: list[tuple[int, float]] = [(0, 0.0)]
 
     def append(self, v: complex) -> None:
         v = complex(v)
         a = abs(v)
         self.vals.append(v)
-        self.logmag.append(math.log(a) + self.scale if a > 0.0 else float("-inf"))
-        if a > self._blockmax:
-            self._blockmax = a
-        self._since += 1
-        if a > _HARD_LIMIT or (self._since >= _BLOCK and self._blockmax > _BLOCK_LIMIT):
-            self._rescale()
-        elif self._since >= _BLOCK:
-            self._since = 0
+        self.mods.append(a)
+        if a > self.blockmax:
+            self.blockmax = a
+        self.since += 1
+        if a > _HARD_LIMIT or (self.since >= _BLOCK and self.blockmax > _BLOCK_LIMIT):
+            self.rescale(self.blockmax)
+            self.blockmax = 1.0
+            self.since = 0
+        elif self.since >= _BLOCK:
+            self.since = 0
 
-    def _rescale(self) -> None:
-        shift = math.log(self._blockmax)
+    def rescale(self, blockmax: float) -> None:
+        """Divide the stream by blockmax: the window now, older entries at finish."""
+        shift = math.log(blockmax)
         f = math.exp(-shift)
-        self.vals = [x * f for x in self.vals]
+        vals = self.vals
+        cut = max(len(vals) - self.window, 0)
+        vals[cut:] = [x * f for x in vals[cut:]]
+        if cut:
+            self._owed.append((cut, f))
         self.scale += shift
-        self._blockmax = 1.0
-        self._since = 0
-
-    def __getitem__(self, k: int) -> complex:
-        return self.vals[k]
+        self._scale_from.append((len(vals), self.scale))
 
     def finish(self) -> CoefficientStream:
-        return CoefficientStream(np.array(self.vals, dtype=complex),
-                                 np.array(self.logmag, dtype=float),
-                                 self.scale, self.stride)
+        mant = np.array(self.vals, dtype=complex)
+        _apply_owed(mant, self._owed)
+        starts, scales = zip(*self._scale_from)
+        counts = np.diff(starts + (len(mant),))
+        mods = np.array(self.mods, dtype=float)
+        logmag = _log_moduli(mods, np.repeat(scales, counts), mods > 0.0)
+        return CoefficientStream(mant, logmag, self.scale, self.stride)
 
 
 class _ScaledScatter:
@@ -169,34 +234,48 @@ class _ScaledScatter:
 
     Stored mantissas share one stream scale (raised when emissions grow);
     entries far below the stream scale underflow to zero mantissas, but
-    their true log magnitudes are kept exactly.
+    their true log magnitudes are kept exactly.  Raising the scale shrinks
+    no stored entry at once: ``shrink`` records the factor the entries
+    emitted so far owe, and ``finish`` applies the owed factors in order.
+
+    Hot loops may append to ``pos``, ``vals``, ``mods`` and ``vscales``
+    directly, calling ``shrink`` when ``emit`` would have.
     """
 
     def __init__(self, K: int, stride: int):
-        self.vals = [0j] * (K + 1)
-        self.logmag = [float("-inf")] * (K + 1)
+        self.K = K
+        self.pos: list[int] = []
+        self.vals: list[complex] = []
+        self.mods: list[float] = []
+        self.vscales: list[float] = []
         self.scale = 0.0
         self.stride = stride
-        self._emitted: list[int] = []
+        self._owed: list[tuple[int, float]] = []
 
     def emit(self, pos: int, v: complex, vscale: float) -> None:
-        if v != 0:
-            self.logmag[pos] = math.log(abs(v)) + vscale
         rel = vscale - self.scale
         if rel > 230.0:
-            # emissions outgrew the stream scale; shrink stored history
-            f = math.exp(-rel)
-            for idx in self._emitted:
-                self.vals[idx] *= f
-            self.scale = vscale
+            self.shrink(vscale)
             rel = 0.0
-        self.vals[pos] = v * math.exp(rel) if rel > -745.0 else 0j
-        self._emitted.append(pos)
+        self.pos.append(pos)
+        self.vals.append(v * math.exp(rel) if rel > -745.0 else 0j)
+        self.mods.append(abs(v))
+        self.vscales.append(vscale)
+
+    def shrink(self, vscale: float) -> None:
+        """Raise the stream scale to vscale; the entries emitted so far owe the factor."""
+        self._owed.append((len(self.vals), math.exp(-(vscale - self.scale))))
+        self.scale = vscale
 
     def finish(self) -> CoefficientStream:
-        return CoefficientStream(np.array(self.vals, dtype=complex),
-                                 np.array(self.logmag, dtype=float),
-                                 self.scale, self.stride)
+        emitted = np.array(self.vals, dtype=complex)
+        _apply_owed(emitted, self._owed)
+        mant = np.zeros(self.K + 1, dtype=complex)
+        mant[self.pos] = emitted
+        mods = np.array(self.mods, dtype=float)
+        logmag = np.full(self.K + 1, -np.inf)
+        logmag[self.pos] = _log_moduli(mods, np.array(self.vscales, dtype=float), mods != 0.0)
+        return CoefficientStream(mant, logmag, self.scale, self.stride)
 
 
 def recursion_analytic_perturbation(m: int, f_coeffs: Sequence[complex],
@@ -209,14 +288,15 @@ def recursion_analytic_perturbation(m: int, f_coeffs: Sequence[complex],
     if K < m:
         raise ValueError("K must be at least m")
     pairs = [(i, complex(a)) for i, a in enumerate(f_coeffs) if a != 0]
-    b = _StreamBuilder(stride=m)
+    b = _StreamBuilder(stride=m, window=m + max((i for i, _ in pairs), default=0) + 1)
+    vals = b.vals
     for v in seed:
         b.append(v)
     for k in range(K - m + 1):
         s = 0j
         for i, a in pairs:
             if i <= k:
-                s += a * b[k - i]
+                s += a * vals[k - i]
         b.append(-((m + 1 + k) / (k + 1)) * s)
     return b.finish()
 
@@ -231,18 +311,33 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
         raise ValueError("K must be at least m")
     anti = [(m - i, complex(c)) for i, c in enumerate(sym.anti, start=1) if c != 0]
     ana = [(i, complex(a)) for i, a in enumerate(sym.ana) if a != 0]
-    b = _StreamBuilder(stride=m)
+    b = _StreamBuilder(stride=m, window=m + n + 1)
     for v in seed:
         b.append(v)
+    # _StreamBuilder.append, inlined: the builder only sees the rare rescale
+    vals, mods = b.vals, b.mods
+    since, blockmax = b.since, b.blockmax
     for k in range(K - m + 1):
         s = 0j
         for off, c in anti:
-            s += c * b[off + k] / (off + k + 1)
+            s += c * vals[off + k] / (off + k + 1)
         t = 0j
         for i, a in ana:
             if i <= k:
-                t += a * b[k - i]
-        b.append(-(m + k + 1) * (s + t / (k + 1)))
+                t += a * vals[k - i]
+        v = -(m + k + 1) * (s + t / (k + 1))
+        mod = abs(v)
+        vals.append(v)
+        mods.append(mod)
+        if mod > blockmax:
+            blockmax = mod
+        since += 1
+        if mod > _HARD_LIMIT or (since >= _BLOCK and blockmax > _BLOCK_LIMIT):
+            b.rescale(blockmax)
+            blockmax = 1.0
+            since = 0
+        elif since >= _BLOCK:
+            since = 0
     return b.finish()
 
 
@@ -264,11 +359,21 @@ def recursion_special_family(m: int, alpha: complex, beta: complex,
     alpha = complex(alpha)
     beta = complex(beta)
     sink = _ScaledScatter(K, m)
+    # _ScaledScatter.emit, inlined: the sink only sees the rare shrink
+    pos, vals, mods, vscales = sink.pos, sink.vals, sink.mods, sink.vscales
     b_prev: Optional[complex] = None
     b_cur = 1.0 + 0j
     wscale = 0.0  # window scale: true b = stored b * exp(wscale)
     for k in range(seed_index, K + 1, m):
-        sink.emit(k, (k + 1) * b_cur, wscale)
+        v = (k + 1) * b_cur
+        rel = wscale - sink.scale
+        if rel > 230.0:
+            sink.shrink(wscale)
+            rel = 0.0
+        pos.append(k)
+        vals.append(v * math.exp(rel) if rel > -745.0 else 0j)
+        mods.append(abs(v))
+        vscales.append(wscale)
         if b_prev is None:
             b_next = -beta * b_cur
         else:
@@ -483,14 +588,15 @@ def range_solve(m: int, f_coeffs: Sequence[complex], h_coeffs: Sequence[complex]
         raise ValueError(f"seed must have length m = {m}")
     pairs = [(i, complex(a)) for i, a in enumerate(f_coeffs) if a != 0]
     h = [complex(c) for c in h_coeffs]
-    b = _StreamBuilder(stride=m)
+    b = _StreamBuilder(stride=m, window=m + max((i for i, _ in pairs), default=0) + 1)
+    vals = b.vals
     for v in seed:
         b.append(v)
     for k in range(len(h)):
         s = 0j
         for i, a in pairs:
             if i <= k:
-                s += a * b[k - i]
+                s += a * vals[k - i]
         # h lives at true scale; bring it to the builder's mantissa scale
         hk = h[k] if b.scale == 0.0 else h[k] * math.exp(-min(b.scale, 745.0))
         b.append(((m + k + 1) / (k + 1)) * (hk - s))

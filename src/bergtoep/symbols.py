@@ -22,6 +22,7 @@ alpha*t^2 + (beta-lam)*t + gamma in t = z^m, divided by z^m.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -30,6 +31,11 @@ import numpy as np
 
 from . import cpoly
 from .cpoly import CPoly
+
+
+def _require_finite(coeffs: Sequence[complex]) -> None:
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise ValueError("symbol coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,12 +49,14 @@ class HarmonicPolySymbol:
             raise ValueError("m must be a positive integer")
         if len(self.anti) != self.m - 1:
             raise ValueError(f"anti must have length m-1 = {self.m - 1}")
+        anti = tuple(complex(c) for c in self.anti)
         ana = [complex(c) for c in self.ana]
+        _require_finite(anti + tuple(ana))
         while len(ana) > 1 and ana[-1] == 0:
             ana.pop()
         if not ana:
             ana = [0j]
-        object.__setattr__(self, "anti", tuple(complex(c) for c in self.anti))
+        object.__setattr__(self, "anti", anti)
         object.__setattr__(self, "ana", tuple(ana))
 
     @property
@@ -87,6 +95,7 @@ class SpecialFamilySymbol:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
+        _require_finite((self.alpha, self.beta, self.gamma))
         if self.alpha == 0 and self.beta == 0 and self.gamma == 0:
             raise ValueError("alpha, beta, gamma cannot all vanish")
 

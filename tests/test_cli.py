@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from bergtoep import cli, kernel, spectrum
-from bergtoep.symbols import SpecialFamilySymbol, zbar_power_plus, to_json
+from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus, to_json
 
 
 def run(argv):
@@ -39,6 +40,25 @@ class TestKernelCommand:
         rc = run(["kernel", "--symbol", str(path), "--K", "400"])
         assert rc == 0
         assert "kernel dim: 2" in capsys.readouterr().out
+
+    def test_long_inline_symbol_json(self, capsys):
+        # inline JSON longer than a file name may be (255 bytes)
+        gen = np.random.default_rng(3)
+        anti = tuple(complex(*gen.uniform(-0.1, 0.1, 2)) for _ in range(2))
+        ana = tuple(complex(*gen.uniform(-0.1, 0.1, 2)) for _ in range(4))
+        sym = HarmonicPolySymbol(3, anti, ana)
+        text = json.dumps(to_json(sym))
+        assert len(text) >= 300
+        rc = run(["kernel", "--symbol", text, "--K", "400"])
+        assert rc == 0
+        rep = kernel.kernel_dimension(sym, K=400)
+        assert f"kernel dim: {rep.dim}" in capsys.readouterr().out
+
+    def test_unreadable_symbol_file_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", "--symbol", str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        assert "cannot read symbol file" in capsys.readouterr().err
 
     def test_strict_undecided_exits_nonzero(self, capsys, monkeypatch):
         verdict = kernel.MembershipVerdict(kernel.UNDECIDED, None, 500)
@@ -169,6 +189,20 @@ class TestValidateCommand:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--family", "m=1,alpha=nan"],
+        ["index", "--family", "m=1,alpha=nan", "--lambda", "0"],
+        ["spectrum", "--family", "m=1,alpha=inf", "--lambda", "0"],
+        ["spectrum", "--family", "m=1,alpha=0.5", "--lambda", "nan"],
+        ["spectrum", "--family", "m=1,alpha=0.5", "--grid=-2,inf,-2,2,16"],
+        ["kernel", "--symbol", '{"m": 1, "ana": [[NaN, 0]]}'],
+    ])
+    def test_non_finite_input_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_small_K_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run(["kernel", "--family", "m=1,alpha=0,beta=0", "--K", "10"])

@@ -162,6 +162,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpecialFamilySymbol(1, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -float("inf"))])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicPolySymbol(2, (bad,), (0.5,))
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicPolySymbol(1, (), (0.5, bad))
+        with pytest.raises(ValueError, match="finite"):
+            SpecialFamilySymbol(1, bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            SpecialFamilySymbol(1, 0.5, 0.5, bad)
+
 
 def test_json_roundtrip():
     sym = HarmonicPolySymbol(2, (0.5 - 1j,), (0.1, 0.2 + 0.3j))
