@@ -7,8 +7,8 @@ classification, and exact-coefficient finite sections."""
 __version__ = "0.1.0"
 
 from .cpoly import (CPoly, NumericIntegrityError, RootFindingError,
-                    SchurCohnReport, distinct_moduli, eval_poly, roots,
-                    schur_cohn, sign_variations)
+                    SchurCohnReport, ZeroPattern, distinct_moduli, eval_poly,
+                    roots, schur_cohn, sign_variations, zero_pattern)
 from .finsect import (ToeplitzTruncation, apply_symbol, min_singular_value,
                       truncation, tstar_zm_check)
 from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,

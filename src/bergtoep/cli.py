@@ -3,7 +3,9 @@
 Every subcommand is a thin shell over the library and echoes its effective
 configuration into a JSON summary next to any CSV/SVG outputs.  Exit codes:
 0 success, 1 computation-level failure (oracle mismatch, undecided verdict
-under --strict, validation failure), 2 usage errors.
+under --strict, validation failure, or a library error: an unresolved
+winding number, a root set that fails its acceptance tests, a
+non-Hermitian Schur-Cohn matrix), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -385,11 +387,10 @@ def _check_schur_cohn_vs_roots(rng, trials):
         rep = cpoly.schur_cohn(p)
         if rep.is_indeterminate:
             continue
-        rs = cpoly.roots(p)
-        if min(abs(abs(r) - 1.0) for r in rs) <= 1e-6:
+        truth = cpoly.zero_pattern(p, 1e-6).in_disk
+        if truth is None:
             continue
         done += 1
-        truth = sum(1 for r in rs if abs(r) < 1)
         if truth != rep.in_disk_count:
             bad.append({"coeffs": [[c.real, c.imag] for c in p.coeffs],
                         "roots_count": truth, "schur_cohn": rep.in_disk_count})
@@ -408,7 +409,7 @@ def _check_winding_vs_zero_count(rng, trials):
         if spectrum.curve_distance(sym, lam) < 1e-3:
             continue
         quad = symbols.special_to_quadratic(sym, lam)
-        count = spectrum._quadratic_disk_count(quad, circle_tol=1e-6)
+        count = cpoly.zero_pattern(quad, 1e-6).in_disk
         if count is None:
             continue
         done += 1
@@ -644,7 +645,12 @@ def main(argv=None) -> int:
     for tol in (args.tol_ratio, args.tol_curve, args.tol_moduli, args.tol_degeneracy):
         if tol <= 0:
             parser.error("tolerances must be positive")
-    return args.fn(parser, args)
+    try:
+        return args.fn(parser, args)
+    except (spectrum.CurveResolutionError, cpoly.RootFindingError,
+            cpoly.NumericIntegrityError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -46,7 +46,6 @@ from .symbols import HarmonicPolySymbol, SpecialFamilySymbol, associated_poly
 _BLOCK = 512
 _BLOCK_LIMIT = 1e100
 _HARD_LIMIT = 1e250
-_TINY = 1e-280
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -96,17 +95,6 @@ class CoefficientStream:
         out = np.exp(np.minimum(ln, 700.0))
         out[np.isneginf(ln)] = 0.0
         return out
-
-    def ratio_trace(self):
-        """(indices k, ratios d_{k+stride}/d_k) where both entries are nonzero."""
-        s = self.stride
-        den = self.mant[:-s] if s < len(self.mant) else self.mant[:0]
-        num = self.mant[s:]
-        mask = (np.abs(den) > _TINY) & (np.abs(num) > _TINY)
-        ks = np.nonzero(mask)[0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = num[mask] / den[mask]
-        return ks, ratios
 
     def coefficients(self) -> np.ndarray:
         """True coefficient values; fails when the scale exceeds float range."""
@@ -626,18 +614,11 @@ def injectivity_test(sym: HarmonicPolySymbol, rel_tol: float = 1e-6,
     certificate is possible there; such symbols come back not_applicable.
     Root-finder failure yields undecided.
     """
-    phi = associated_poly(sym, 0j).poly
-    if phi.degree == 0:
-        return InjectivityReport(NOT_APPLICABLE, True, 0, ())
     try:
-        rs = _cp.roots(phi)
+        zp = _cp.zero_pattern(associated_poly(sym, 0j).poly, circle_tol)
     except _cp.RootFindingError:
         return InjectivityReport(UNDECIDED, False, None, ())
-    mods = tuple(sorted(abs(r) for r in rs))
-    poincare = _cp.distinct_moduli(rs, rel_tol)
-    if any(abs(mu - 1.0) <= circle_tol for mu in mods):
-        return InjectivityReport(NOT_APPLICABLE, poincare, None, mods)
-    count = sum(1 for mu in mods if mu < 1.0)
-    if poincare and count >= sym.m:
-        return InjectivityReport(TRIVIAL_KERNEL_CERTIFIED, True, count, mods)
-    return InjectivityReport(NOT_APPLICABLE, poincare, count, mods)
+    poincare = zp.distinct(rel_tol)
+    if poincare and zp.in_disk is not None and zp.in_disk >= sym.m:
+        return InjectivityReport(TRIVIAL_KERNEL_CERTIFIED, True, zp.in_disk, zp.moduli)
+    return InjectivityReport(NOT_APPLICABLE, poincare, zp.in_disk, zp.moduli)

@@ -117,25 +117,6 @@ def curve_distance(sym: Symbol, lam: complex, samples: int = 512,
     return best_d
 
 
-def _quadratic_disk_count(quad: CPoly, circle_tol: float = 1e-9) -> Optional[int]:
-    """Zeros of the (possibly degenerate) t-polynomial inside the unit disk.
-
-    None when a root sits within circle_tol of the circle.  Degree 0 means
-    no zeros; missing leading coefficients are roots at infinity and count
-    as outside.
-    """
-    if quad.degree == 0:
-        return 0
-    rs = cpoly.roots(quad)
-    count = 0
-    for r in rs:
-        if abs(abs(r) - 1.0) <= circle_tol:
-            return None
-        if abs(r) < 1.0:
-            count += 1
-    return count
-
-
 def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6,
                    samples: int = 512, degeneracy_tol: float = 1e-10) -> int:
     """Index of T_phi - lam as minus the winding number of phi(T) about lam.
@@ -158,7 +139,7 @@ def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6,
             except cpoly.NumericIntegrityError:
                 report_count = None
         if report_count is None:
-            report_count = _quadratic_disk_count(quad, circle_tol=1e-12)
+            report_count = cpoly.zero_pattern(quad, 1e-12).in_disk
         if report_count is not None:
             index2 = sym.m * (1 - report_count)
             if index2 != index:
@@ -317,27 +298,15 @@ def classify_projective(m: int, alpha: complex, beta: complex, gamma: complex,
         checks = InequalityChecks(d0, cross, q, ineq_region, margin, None)
         return RegionVerdict(NOT_FREDHOLM, None, (), checks)
 
-    quad = CPoly.make([gamma, beta, alpha])
-    if quad.degree == 0:
-        moduli: tuple[float, ...] = (math.inf, math.inf)
-        count: Optional[int] = 0
-    else:
-        rs = cpoly.roots(quad)
-        mods = sorted(abs(r) for r in rs)
-        moduli = tuple(mods) + (math.inf,) * (2 - len(mods))
-        count = 0
-        for mu in mods:
-            if abs(mu - 1.0) <= circle_tol:
-                count = None
-                break
-            if mu < 1.0:
-                count += 1
+    # roots missing from a degree-deficient quadratic lie at infinity
+    zp = cpoly.zero_pattern(CPoly.make([gamma, beta, alpha]), circle_tol)
+    moduli = zp.moduli + (math.inf,) * (2 - len(zp.moduli))
 
-    if count is None:
+    if zp.in_disk is None:
         checks = InequalityChecks(d0, cross, q, ineq_region, margin, None)
         return RegionVerdict(NOT_FREDHOLM, None, moduli, checks)
 
-    region = (OMEGA0, OMEGA1, OMEGA2)[count]
+    region = (OMEGA0, OMEGA1, OMEGA2)[zp.in_disk]
     agrees = (ineq_region == region) if ineq_region is not None else None
     checks = InequalityChecks(d0, cross, q, ineq_region, margin, agrees)
     return RegionVerdict(region, m * _REGION_INDEX[region], moduli, checks)
@@ -362,16 +331,10 @@ def invertibility_criterion(sym: HarmonicPolySymbol, rel_tol: float = 1e-6,
     none near the circle.  A zero within circle_tol of the circle is
     returned as not-Fredholm evidence (invertible False, on_circle True).
     """
-    phi = associated_poly(sym, 0j).poly
-    if phi.degree == 0:
-        # phi_0 = 1: zero count 0 < m, wind = -m, never invertible
-        return InvertibilityReport(True, False, 0, (), True, False)
-    rs = cpoly.roots(phi)
-    mods = tuple(sorted(abs(r) for r in rs))
-    poincare = cpoly.distinct_moduli(rs, rel_tol)
-    if not poincare:
-        return InvertibilityReport(False, None, None, mods, False, False)
-    if any(abs(mu - 1.0) <= circle_tol for mu in mods):
-        return InvertibilityReport(True, False, None, mods, True, True)
-    count = sum(1 for mu in mods if mu < 1.0)
-    return InvertibilityReport(True, count == sym.m, count, mods, True, False)
+    zp = cpoly.zero_pattern(associated_poly(sym, 0j).poly, circle_tol)
+    if not zp.distinct(rel_tol):
+        return InvertibilityReport(False, None, None, zp.moduli, False, False)
+    if zp.in_disk is None:
+        return InvertibilityReport(True, False, None, zp.moduli, True, True)
+    return InvertibilityReport(True, zp.in_disk == sym.m, zp.in_disk, zp.moduli,
+                               True, False)

@@ -177,12 +177,8 @@ def poincare_condition(sym: HarmonicPolySymbol, lam: complex = 0j,
     Degree zero (no zeros at all) passes vacuously.  The sorted root
     moduli are returned as evidence.
     """
-    phi = associated_poly(sym, lam).poly
-    if phi.degree == 0:
-        return PoincareCheck(True, ())
-    rs = cpoly.roots(phi)
-    mods = tuple(sorted(abs(r) for r in rs))
-    return PoincareCheck(cpoly.distinct_moduli(rs, rel_tol), mods)
+    zp = cpoly.zero_pattern(associated_poly(sym, lam).poly, 0.0)  # disk count unread
+    return PoincareCheck(zp.distinct(rel_tol), zp.moduli)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_criterion_3_winding_equals_zero_count():
         if spectrum.curve_distance(sym, lam) < 1e-3:
             continue
         quad = special_to_quadratic(sym, lam)
-        count = spectrum._quadratic_disk_count(quad, circle_tol=1e-6)
+        count = cpoly.zero_pattern(quad, 1e-6).in_disk
         if count is None:
             continue
         done += 1

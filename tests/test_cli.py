@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from bergtoep import cli, kernel, spectrum
-from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus, to_json
+from bergtoep import cli, cpoly, kernel, spectrum
+from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
+                              to_json, zbar_power_plus)
 
 
 def run(argv):
@@ -132,6 +133,22 @@ class TestSpectrumCommand:
         assert spectrum.IN_BY_INDEX in capsys.readouterr().out
 
 
+    def test_large_zero_root_set_accepted(self, capsys):
+        # phi_lam has a zero of modulus 215, whose roots failed the absolute
+        # residual test alone; its other three zeros lie in the disk, so
+        # m - N(phi_lam) = 0 and the point is outside the spectrum
+        sym = HarmonicPolySymbol(3, (0.3168506615543857 + 0.5626069660781077j,
+                                     -0.1422734431527493 + 0.21851104893962114j),
+                                 (-0.08106802381256345 - 0.016264343559017222j,
+                                  -0.004613585391453584 - 0.01705016886484145j))
+        lam = -2.860655133842755 - 2.6035714933550804j
+        mods = np.abs(np.roots(associated_poly(sym, lam).poly.coeffs[::-1]))
+        assert np.sum(mods < 1) == sym.m and 200 < mods.max() < 230
+        rc = run(["spectrum", "--symbol", json.dumps(to_json(sym)), f"--lambda={lam!r}"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == spectrum.OUT_CERTIFIED
+
+
 class TestProbeAndIndex:
     def test_probe_csv(self, tmp_path, capsys):
         rc = run(["probe", "--family", "m=1,alpha=0.5,beta=0",
@@ -186,6 +203,29 @@ class TestValidateCommand:
              "--grid=-1,1,-1,1,16", "--out", str(d2)])
         capsys.readouterr()
         assert (d1 / "classify.csv").read_bytes() == (d2 / "classify.csv").read_bytes()
+
+
+class TestLibraryErrors:
+    def test_unresolved_winding_exits_1(self, capsys):
+        # lambda lies 4.9e-5 from the boundary curve, finer than the
+        # winding number's finest sampling resolves
+        sym = HarmonicPolySymbol(1, (), (1.8222031143572273 + 2.0934468164492177j,
+                                         1.4112562786244354 - 0.16748957484570237j,
+                                         3.975748168089595 - 0.0827677011681982j))
+        lam = 4.470470381272609 + 6.146630148753228j
+        rc = run(["spectrum", "--symbol", json.dumps(to_json(sym)), f"--lambda={lam!r}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CurveResolutionError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [cpoly.RootFindingError, cpoly.NumericIntegrityError])
+    def test_numeric_failures_exit_1(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc("boom")
+        monkeypatch.setattr(cli.spectrum, "fredholm_index", fail)
+        rc = run(["index", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {exc.__name__}: boom\n"
 
 
 class TestConfigValidation:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bergtoep import cpoly
+from bergtoep import cpoly, kernel, spectrum
 from bergtoep.cpoly import CPoly
+from bergtoep.symbols import PoincareCheck, poincare_condition, zbar_power_plus
 
 
 def rng():
@@ -66,6 +67,20 @@ class TestRoots:
             assert len(rs) == p.degree
             scale = p.scale()
             assert max(abs(p(r)) for r in rs) <= 1e-9 * scale
+
+    def test_gaussian_corpus_accepted_on_backward_error(self):
+        # 55 of these raised RootFindingError under the absolute residual
+        # test alone, although np.roots reaches backward error <= 31 eps
+        gen = np.random.default_rng(7)
+        for _ in range(5000):
+            deg = int(gen.integers(1, 13))
+            cs = gen.normal(size=deg + 1) + 1j * gen.normal(size=deg + 1)
+            p = CPoly.make(list(cs))
+            rs = np.array(cpoly.roots(p))
+            assert len(rs) == p.degree
+            resid = np.abs(cpoly.eval_poly_many(p.coeffs, rs))
+            bound = cpoly.eval_poly_many(np.abs(p.coeffs), np.abs(rs)).real
+            assert np.all(resid <= cpoly.BACKWARD_ERROR_TOL * bound), list(cs)
 
     def test_deterministic_ordering(self):
         gen = rng()
@@ -181,6 +196,52 @@ class TestDistinctModuli:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cpoly.distinct_moduli([])
+
+
+class TestZeroPattern:
+    def test_constant(self):
+        zp = cpoly.zero_pattern(CPoly.make([3.0]), 1e-9)
+        assert zp == ((), (), 0)
+        assert zp.distinct()
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            cpoly.zero_pattern(CPoly.make([0.0]), 1e-9)
+
+    def test_near_circle_is_undecided(self):
+        # (z - 0.5)(z - (1 + 1e-8)): one zero inside, one 1e-8 outside
+        r = 1 + 1e-8
+        p = CPoly.make([0.5 * r, -(0.5 + r), 1])
+        assert cpoly.zero_pattern(p, 1e-6).in_disk is None
+        assert cpoly.zero_pattern(p, 1e-10).in_disk == 1
+
+    def test_distinct(self):
+        assert not cpoly.zero_pattern(CPoly.make([1, 0, 2]), 1e-9).distinct()
+        assert cpoly.zero_pattern(CPoly.make([2, -3, 1]), 1e-9).distinct(1e-3)
+
+    def test_matches_numpy_roots(self):
+        gen = rng()
+        for _ in range(300):
+            p = random_poly(gen)
+            zp = cpoly.zero_pattern(p, 1e-6)
+            mods = np.sort(np.abs(np.roots(p.coeffs[::-1])))
+            assert zp.roots == tuple(cpoly.roots(p))
+            assert zp.moduli == tuple(sorted(zp.moduli))
+            np.testing.assert_allclose(zp.moduli, mods, rtol=1e-7, atol=1e-12)
+            if np.min(np.abs(mods - 1)) > 1e-6:
+                assert zp.in_disk == int(np.sum(mods < 1))
+
+    def test_degree_zero_callers(self):
+        # conj(z): phi_0 = 1 has no zeros, and every caller answers as its
+        # former degree-0 branch did
+        sym = zbar_power_plus(1, [])
+        assert kernel.injectivity_test(sym) == kernel.InjectivityReport(
+            kernel.NOT_APPLICABLE, True, 0, ())
+        assert spectrum.invertibility_criterion(sym) == spectrum.InvertibilityReport(
+            True, False, 0, (), True, False)
+        assert poincare_condition(sym) == PoincareCheck(True, ())
+        v = spectrum.classify_projective(2, 0, 0, 0.5j)
+        assert v.region == spectrum.OMEGA0 and v.root_moduli == (np.inf, np.inf)
 
 
 def test_json_roundtrip():

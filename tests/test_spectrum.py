@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bergtoep import spectrum
+from bergtoep import cpoly, spectrum
 from bergtoep.spectrum import (OnCurveError, classify_projective,
                                curve_distance, fredholm_index,
                                invertibility_criterion, special_family_region,
@@ -270,7 +270,7 @@ class TestWindingZeroCountIdentity:
                 continue
             from bergtoep.symbols import special_to_quadratic
             quad = special_to_quadratic(sym, lam)
-            count = spectrum._quadratic_disk_count(quad, circle_tol=1e-6)
+            count = cpoly.zero_pattern(quad, 1e-6).in_disk
             if count is None:
                 continue
             done += 1
