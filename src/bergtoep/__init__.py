@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .cpoly import (CPoly, NumericIntegrityError, RootFindingError,
                     SchurCohnReport, ZeroPattern, distinct_moduli, eval_poly,
-                    roots, schur_cohn, sign_variations, zero_pattern)
+                    roots, roots_many, schur_cohn, sign_variations, zero_pattern)
 from .finsect import (ToeplitzTruncation, apply_symbol, min_singular_value,
                       truncation, tstar_zm_check)
 from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,
@@ -21,7 +21,7 @@ from .odekernel import OdeKernelBasis, residual_check, taylor_coefficients
 from .spectrum import (InvertibilityReport, RegionVerdict, SpectrumVerdict,
                        WindingResult, classify_projective, curve_distance,
                        fredholm_index, invertibility_criterion,
-                       special_family_region, spectrum_membership,
+                       membership_grid, special_family_region, spectrum_membership,
                        winding_number, winding_of_symbol)
 from .symbols import (AssociatedPoly, HarmonicPolySymbol, PoincareCheck,
                       SpecialFamilySymbol, associated_poly, boundary_curve,

@@ -3,7 +3,8 @@
 Every subcommand is a thin shell over the library and echoes its effective
 configuration into a JSON summary next to any CSV/SVG outputs.  Exit codes:
 0 success, 1 computation-level failure (oracle mismatch, undecided verdict
-under --strict, validation failure, or a library error: an unresolved
+under --strict, validation failure, or a library error: a point closer
+to the sampled curve than a winding number resolves, an unresolved
 winding number, a root set that fails its acceptance tests, a
 non-Hermitian Schur-Cohn matrix), 2 usage errors.
 """
@@ -249,10 +250,17 @@ def cmd_classify(parser, args) -> int:
 
 def _special_spectrum_verdict(sym: SpecialFamilySymbol, lam: complex):
     if sym.gamma == 0:
-        return spectrum.analytic_family_region(sym.alpha, sym.beta, lam)
-    norm = sym.normalized()
-    return spectrum.special_family_region(norm.m, norm.alpha, norm.beta,
-                                          complex(lam) / sym.gamma)
+        region = spectrum.analytic_family_region(sym.alpha, sym.beta, lam)
+    else:
+        norm = sym.normalized()
+        region = spectrum.special_family_region(norm.m, norm.alpha, norm.beta,
+                                                complex(lam) / sym.gamma)
+    wind = None
+    if region != spectrum.BOUNDARY:
+        v = spectrum.classify_projective(sym.m, sym.alpha, sym.beta - lam, sym.gamma)
+        if v.index is not None:
+            wind = -v.index
+    return region, wind
 
 
 def cmd_spectrum(parser, args) -> int:
@@ -261,23 +269,21 @@ def cmd_spectrum(parser, args) -> int:
     outdir = _outdir(args)
     if args.grid is None and args.lam is None:
         parser.error("spectrum needs --lambda or --grid")
-
-    def classify_point(lam):
-        if isinstance(sym, SpecialFamilySymbol):
-            region = _special_spectrum_verdict(sym, lam)
-            wind = None
-            if region != spectrum.BOUNDARY:
-                v = spectrum.classify_projective(sym.m, sym.alpha,
-                                                 sym.beta - lam, sym.gamma)
-                if v.index is not None:
-                    wind = -v.index
-            return region, wind
-        v = spectrum.spectrum_membership(sym, lam, curve_tol=args.tol_curve,
-                                         rel_tol=args.tol_moduli)
-        return v.status, v.winding
+    if args.grid is None:
+        lams = [args.lam]
+    else:
+        re0, re1, im0, im1, res = args.grid
+        lams = [complex(re, im)
+                for im in np.linspace(im0, im1, res)
+                for re in np.linspace(re0, re1, res)]
+    if isinstance(sym, SpecialFamilySymbol):
+        points = [_special_spectrum_verdict(sym, lam) for lam in lams]
+    else:
+        points = [(v.status, v.winding) for v in spectrum.membership_grid(
+            sym, lams, curve_tol=args.tol_curve, rel_tol=args.tol_moduli)]
 
     if args.grid is None:
-        status, wind = classify_point(args.lam)
+        status, wind = points[0]
         _write_summary(outdir, "spectrum", config, {"status": status, "winding": wind})
         if status == spectrum.INTERIOR:
             print("in (interior)")
@@ -289,17 +295,8 @@ def cmd_spectrum(parser, args) -> int:
             print(status)
         return 0
 
-    re0, re1, im0, im1, res = args.grid
-    lams = [complex(re, im)
-            for im in np.linspace(im0, im1, res)
-            for re in np.linspace(re0, re1, res)]
-    rows = []
-    for lam in lams:
-        status, wind = classify_point(lam)
-        index = None
-        if wind is not None:
-            index = -wind
-        rows.append((lam, status, wind, index))
+    rows = [(lam, status, wind, None if wind is None else -wind)
+            for lam, (status, wind) in zip(lams, points)]
     if outdir is not None:
         with _csv_open(outdir / "spectrum_grid.csv",
                        "lam_re,lam_im,verdict,winding,index", config) as fh:
@@ -647,8 +644,8 @@ def main(argv=None) -> int:
             parser.error("tolerances must be positive")
     try:
         return args.fn(parser, args)
-    except (spectrum.CurveResolutionError, cpoly.RootFindingError,
-            cpoly.NumericIntegrityError) as exc:
+    except (spectrum.OnCurveError, spectrum.CurveResolutionError,
+            cpoly.RootFindingError, cpoly.NumericIntegrityError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

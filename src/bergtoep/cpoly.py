@@ -19,6 +19,7 @@ guessed.
 
 The root finder is an Ehrlich-Aberth simultaneous iteration with a
 companion-matrix fallback, returning roots sorted by (modulus, argument).
+It runs lane-wise over many polynomials of one degree at once.
 """
 
 from __future__ import annotations
@@ -100,10 +101,18 @@ def derivative(p: CPoly) -> CPoly:
     return CPoly.make([k * c for k, c in enumerate(p.coeffs)][1:])
 
 
-def _horner_with_derivative(desc: np.ndarray, z: np.ndarray):
-    p = np.zeros_like(z)
-    dp = np.zeros_like(z)
-    for a in desc:
+def _spread(desc: np.ndarray) -> np.ndarray:
+    # coefficient j of each row of desc (highest power first), repeated over
+    # the row's n points: (n + 1, rows, n), so that Horner's rule adds arrays
+    # of one shape, which numpy does fastest
+    return np.repeat(desc.T[:, :, None], desc.shape[1] - 1, axis=2)
+
+
+def _horner_with_derivative(coef: np.ndarray, z: np.ndarray):
+    # each polynomial of _spread(desc) at the points in its row of z
+    p = np.zeros(z.shape, z.dtype)
+    dp = np.zeros(z.shape, z.dtype)
+    for a in coef:
         dp = dp * z + p
         p = p * z + a
     return p, dp
@@ -121,42 +130,60 @@ def _solve_quadratic(a: complex, b: complex, c: complex) -> list[complex]:
     return [q / a, c / q]
 
 
-def _aberth(desc: np.ndarray, max_iter: int = 80) -> Optional[np.ndarray]:
-    n = len(desc) - 1
-    an, a0 = desc[0], desc[-1]
-    r0 = abs(a0 / an) ** (1.0 / n) if a0 != 0 else 0.5
-    r0 = min(max(r0, 1e-6), 1e6)
+def _aberth(desc: np.ndarray, max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+    """Ehrlich-Aberth iteration on every row of desc (highest power first).
+
+    A row stops at the iteration where its own steps become negligible, or
+    where it stops being finite, and then takes no further part.  Returns
+    the final iterates and the mask of rows that stayed finite.
+    """
+    rows, n = desc.shape[0], desc.shape[1] - 1
+    r0 = np.empty(rows)
+    for i, (an, a0) in enumerate(zip(desc[:, 0], desc[:, -1])):
+        r = abs(a0 / an) ** (1.0 / n) if a0 != 0 else 0.5
+        r0[i] = min(max(r, 1e-6), 1e6)
     k = np.arange(n)
     # spiral start breaks symmetric stagnation
-    z = r0 * (1.0 + 0.05 * k / max(n - 1, 1)) * np.exp(1j * (2 * np.pi * k / n + 0.4))
+    z = r0[:, None] * (1.0 + 0.05 * k / max(n - 1, 1)) * np.exp(1j * (2 * np.pi * k / n + 0.4))
+    out = np.empty_like(z)
+    finite = np.ones(rows, dtype=bool)
+    live = np.arange(rows)
+    coef = _spread(desc)
     for _ in range(max_iter):
-        p, dp = _horner_with_derivative(desc, z)
+        p, dp = _horner_with_derivative(coef, z)
         dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff = z[:, :, None] - z[:, None, :]
+        diff.reshape(len(z), n * n)[:, ::n + 1] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            sums = np.sum(1.0 / diff, axis=1) - 1.0 / np.diagonal(diff)
+            # minus the 1/1 of the unit diagonal
+            sums = (1.0 / diff).sum(axis=2) - 1.0
         denom = 1.0 - w * sums
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         step = w / denom
         z = z - step
-        if not np.all(np.isfinite(z)):
-            return None
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
-            return z
-    return z
+        bad = ~np.isfinite(z).all(axis=1)
+        done = bad | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z))).all(axis=1)
+        if done.any():
+            out[live[done]] = z[done]
+            finite[live[bad]] = False
+            live, coef, z = live[~done], coef[:, ~done], z[~done]
+            if not live.size:
+                return out, finite
+    out[live] = z
+    return out, finite
 
 
 def _newton_polish(desc: np.ndarray, roots: np.ndarray, rounds: int = 2) -> np.ndarray:
     z = roots.copy()
+    coef = _spread(desc)
     for _ in range(rounds):
-        p, dp = _horner_with_derivative(desc, z)
+        p, dp = _horner_with_derivative(coef, z)
         mask = np.abs(dp) > 1e-200
         step = np.zeros_like(z)
         step[mask] = p[mask] / dp[mask]
         cand = z - step
-        pc, _ = _horner_with_derivative(desc, cand)
+        pc, _ = _horner_with_derivative(coef, cand)
         better = np.abs(pc) < np.abs(p)
         z = np.where(better, cand, z)
     return z
@@ -169,8 +196,63 @@ def _newton_polish(desc: np.ndarray, roots: np.ndarray, rounds: int = 2) -> np.n
 BACKWARD_ERROR_TOL = 64 * np.finfo(float).eps
 
 
-def roots(p: CPoly, tol: float = 1e-9) -> list[complex]:
-    """All roots of p with multiplicity, sorted by (modulus, argument).
+def _back(zs: np.ndarray, reverse: np.ndarray) -> np.ndarray:
+    # roots of the polynomials from those of the rows the iteration ran on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverted = np.where(np.abs(zs) < 1e-300, 1e300, 1.0 / zs)
+    return np.where(reverse[:, None], inverted, zs)
+
+
+def _residual(desc, zs, reverse) -> np.ndarray:
+    return np.abs(_horner_with_derivative(_spread(desc), _back(zs, reverse))[0]).max(axis=1)
+
+
+def _accepted(desc, work, zs, reverse, tol) -> np.ndarray:
+    ok = _residual(desc, zs, reverse) <= tol
+    if not ok.all():
+        # the backward error is the same for work at zs as for p at
+        # _back(zs), and evaluating work cannot overflow
+        err = np.abs(_horner_with_derivative(_spread(work), zs)[0])
+        bound = _horner_with_derivative(_spread(np.abs(work)), np.abs(zs))[0]
+        ok |= (err <= BACKWARD_ERROR_TOL * bound).all(axis=1)
+    return ok
+
+
+def _solve_degree(norms: list[list[complex]], tol: float) -> list:
+    """Roots of scale-normalized polynomials of one degree >= 3 (ascending
+    coefficients), or the RootFindingError of each that fails."""
+    deg = len(norms[0]) - 1
+    desc = np.array([nm[::-1] for nm in norms], dtype=complex)
+    # a small leading coefficient means large roots; those are the small
+    # roots of the reversed polynomial, where evaluation is far better
+    # conditioned
+    reverse = np.array([abs(nm[-1]) < abs(nm[0]) for nm in norms])
+    work = np.where(reverse[:, None], desc[:, ::-1], desc)
+    cand, finite = _aberth(work)
+    cand[finite] = _newton_polish(work[finite], cand[finite])
+    ok = np.zeros(len(norms), dtype=bool)
+    ok[finite] = _accepted(desc[finite], work[finite], cand[finite], reverse[finite], tol)
+    failed = {}
+    for i in np.flatnonzero(~ok):
+        # companion-matrix fallback, one polynomial at a time
+        one = slice(i, i + 1)
+        cand[one] = _newton_polish(work[one], np.asarray(np.roots(work[i]), dtype=complex)[None])
+        if not _accepted(desc[one], work[one], cand[one], reverse[one], tol)[0]:
+            failed[i] = RootFindingError(
+                f"degree {deg} roots fail the residual tol {tol:.3e} (residual "
+                f"{_residual(desc[one], cand[one], reverse[one])[0]:.3e}) and the "
+                f"backward error test")
+    found = _back(cand, reverse)
+    return [failed.get(i) or [complex(z) for z in found[i]] for i in range(len(norms))]
+
+
+# polynomials per Aberth iteration: bounds its (lanes x n x n) work arrays,
+# 2.4 MB each at degree 12
+_LANE_BLOCK = 1024
+
+
+def roots_many(polys: Sequence[CPoly], tol: float = 1e-9) -> list[list[complex]]:
+    """All roots of each polynomial with multiplicity, sorted by (modulus, argument).
 
     From degree 3 on, a root set is accepted when |p(z)| <= tol * max|a_k|
     at every root, or else when every root has normwise backward error
@@ -178,66 +260,58 @@ def roots(p: CPoly, tol: float = 1e-9) -> list[complex]:
     modulus fail the absolute test).  Aberth roots that fail both tests
     fall back to the companion matrix, and RootFindingError is raised when
     those fail both as well.
+
+    The polynomials of one degree share one Aberth iteration, in which
+    each does exactly the floating-point operations it would do alone and
+    stops at the same step, so its roots do not depend on the others.
+    When some polynomials fail, the error of the first is raised.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no well-defined roots")
-    if p.degree < 1:
-        raise ValueError("degree must be at least 1")
-
-    cs = list(p.coeffs)
-    zero_count = 0
-    while cs[0] == 0 and len(cs) > 1:
-        cs.pop(0)
-        zero_count += 1
-    found: list[complex] = [0j] * zero_count
-
-    deg = len(cs) - 1
-    if deg >= 1:
-        scale = max(abs(c) for c in cs)
-        norm = [c / scale for c in cs]
-        if deg == 1:
-            found.append(-norm[0] / norm[1])
-        elif deg == 2:
-            found.extend(_solve_quadratic(norm[2], norm[1], norm[0]))
-        else:
-            desc = np.array(norm[::-1], dtype=complex)
-            # a small leading coefficient means large roots; those are the
-            # small roots of the reversed polynomial, where evaluation is
-            # far better conditioned
-            reverse = abs(norm[-1]) < abs(norm[0])
-            work = desc[::-1].copy() if reverse else desc
-            cand = _aberth(work)
-            if cand is not None:
-                cand = _newton_polish(work, cand)
-
-            def _back(zs):
-                if not reverse:
-                    return zs
-                return np.where(np.abs(zs) < 1e-300, 1e300, 1.0 / zs)
-
-            def _residual(zs):
-                return np.max(np.abs(_horner_with_derivative(desc, _back(zs))[0]))
-
-            def _accepted(zs):
-                if _residual(zs) <= tol:
-                    return True
-                # the backward error is the same for work at zs as for p at
-                # _back(zs), and evaluating work cannot overflow
-                err = np.abs(_horner_with_derivative(work, zs)[0])
-                bound = _horner_with_derivative(np.abs(work), np.abs(zs))[0]
-                return bool(np.all(err <= BACKWARD_ERROR_TOL * bound))
-
-            if cand is None or not _accepted(cand):
-                cand = np.roots(work)
-                cand = _newton_polish(work, np.asarray(cand, dtype=complex))
-                if not _accepted(cand):
-                    raise RootFindingError(
-                        f"degree {deg} roots fail the residual tol {tol:.3e} "
-                        f"(residual {_residual(cand):.3e}) and the backward error test")
-            found.extend(complex(z) for z in _back(cand))
-
-    found.sort(key=lambda z: (abs(z), cmath.phase(z)))
+    found: list = []
+    errors: dict[int, Exception] = {}
+    by_degree: dict[int, dict[int, list[complex]]] = {}   # degree -> {index: norm}
+    for i, p in enumerate(polys):
+        out: list[complex] = []
+        found.append(out)
+        if p.is_zero:
+            errors[i] = ValueError("zero polynomial has no well-defined roots")
+            continue
+        if p.degree < 1:
+            errors[i] = ValueError("degree must be at least 1")
+            continue
+        cs = list(p.coeffs)
+        while cs[0] == 0 and len(cs) > 1:
+            cs.pop(0)
+            out.append(0j)
+        deg = len(cs) - 1
+        if deg >= 1:
+            scale = max(abs(c) for c in cs)
+            norm = [c / scale for c in cs]
+            if deg == 1:
+                out.append(-norm[0] / norm[1])
+            elif deg == 2:
+                out.extend(_solve_quadratic(norm[2], norm[1], norm[0]))
+            else:
+                by_degree.setdefault(deg, {})[i] = norm
+    for group in by_degree.values():
+        lanes = list(group)
+        for start in range(0, len(lanes), _LANE_BLOCK):
+            block = lanes[start:start + _LANE_BLOCK]
+            for i, res in zip(block, _solve_degree([group[i] for i in block], tol)):
+                if isinstance(res, Exception):
+                    errors[i] = res
+                else:
+                    found[i].extend(res)
+    if errors:
+        raise errors[min(errors)]
+    for out in found:
+        out.sort(key=lambda z: (abs(z), cmath.phase(z)))
     return found
+
+
+def roots(p: CPoly, tol: float = 1e-9) -> list[complex]:
+    """All roots of p with multiplicity, sorted by (modulus, argument);
+    see roots_many for the acceptance tests."""
+    return roots_many([p], tol)[0]
 
 
 class ZeroPattern(NamedTuple):
@@ -257,14 +331,7 @@ class ZeroPattern(NamedTuple):
         return not self.roots or distinct_moduli(self.roots, rel_tol)
 
 
-def zero_pattern(p: CPoly, circle_tol: float) -> ZeroPattern:
-    """Roots of p, their moduli, and the count inside the unit disk.
-
-    A nonzero constant has no zeros; the zero polynomial raises ValueError.
-    """
-    if p.degree == 0 and not p.is_zero:
-        return ZeroPattern((), (), 0)
-    rs = tuple(roots(p))
+def _located(rs: tuple[complex, ...], circle_tol: float) -> ZeroPattern:
     mods = tuple(sorted(map(abs, rs)))
     count = 0
     for mu in mods:
@@ -272,6 +339,22 @@ def zero_pattern(p: CPoly, circle_tol: float) -> ZeroPattern:
             return ZeroPattern(rs, mods, None)
         count += mu < 1.0
     return ZeroPattern(rs, mods, count)
+
+
+def zero_patterns(polys: Sequence[CPoly], circle_tol: float) -> list[ZeroPattern]:
+    """zero_pattern() of each polynomial, the roots found by one roots_many call."""
+    polys = list(polys)
+    solve = [i for i, p in enumerate(polys) if p.degree > 0 or p.is_zero]
+    found = dict(zip(solve, roots_many([polys[i] for i in solve])))
+    return [_located(tuple(found.get(i, ())), circle_tol) for i in range(len(polys))]
+
+
+def zero_pattern(p: CPoly, circle_tol: float) -> ZeroPattern:
+    """Roots of p, their moduli, and the count inside the unit disk.
+
+    A nonzero constant has no zeros; the zero polynomial raises ValueError.
+    """
+    return zero_patterns([p], circle_tol)[0]
 
 
 def sign_variations(seq: Sequence[float]) -> int:

@@ -26,6 +26,7 @@ real number".
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +36,7 @@ import numpy as np
 from . import cpoly
 from .cpoly import CPoly
 from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, Symbol,
-                      associated_poly, boundary_curve, poincare_condition,
+                      associated_poly, boundary_curve, poincare_conditions,
                       special_to_quadratic)
 
 
@@ -57,6 +58,58 @@ class WindingResult:
     min_distance_to_curve: float
 
 
+# entries of one (points x samples) array in the grid engine: blocks of 32
+# points at 512 samples run as fast as a whole grid at once, in a small
+# fraction of its memory
+_BLOCK_ENTRIES = 32 * 512
+_MAX_SAMPLES = 1 << 16
+
+
+def _blocks(points: int, samples: int):
+    rows = max(1, _BLOCK_ENTRIES // samples)
+    return (slice(i, i + rows) for i in range(0, points, rows))
+
+
+def _value(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def winding_numbers(curve, lams) -> list:
+    """winding_number() about each lam: the WindingResult, or the exception
+    winding_number raises there, computed for blocks of points at once."""
+    curve = np.asarray(curve, dtype=complex)
+    if len(curve) < 64:
+        raise ValueError("need at least 64 samples")
+    lams = np.asarray(lams, dtype=complex)
+    out: list = []
+    for blk in _blocks(len(lams), len(curve)):
+        rel = curve - lams[blk, None]
+        dist = np.abs(rel).min(axis=1)
+        ang = np.arctan2(rel.imag, rel.real)
+        del rel     # in place from here: a 65536-sample curve is 1 MB per point
+        inc = np.empty_like(ang)
+        np.subtract(ang[:, 1:], ang[:, :-1], out=inc[:, :-1])
+        np.subtract(ang[:, :1], ang[:, -1:], out=inc[:, -1:])
+        del ang
+        inc += np.pi
+        np.mod(inc, 2 * np.pi, out=inc)
+        inc -= np.pi
+        steep = np.abs(inc).max(axis=1) >= np.pi / 2
+        total = inc.sum(axis=1) / (2 * np.pi)
+        for d, s, t in zip(dist.tolist(), steep.tolist(), total.tolist()):
+            if d < 1e-9:
+                out.append(OnCurveError(f"point within {d:.2e} of the sampled curve"))
+            elif s:
+                out.append(CurveResolutionError("argument increment >= pi/2; refine the curve"))
+            else:
+                w = round(t)
+                out.append(CurveResolutionError(f"accumulated angle {t:.4f} not near an integer")
+                           if abs(t - w) > 0.1 else WindingResult(w, d))
+    return out
+
+
 def winding_number(curve, lam: complex = 0j) -> WindingResult:
     """Winding of a closed sampled curve about lam by argument increments.
 
@@ -64,57 +117,87 @@ def winding_number(curve, lam: complex = 0j) -> WindingResult:
     the polygon may alias; the accumulated angle must land within 0.1 of
     an integer multiple of 2 pi.
     """
-    curve = np.asarray(curve, dtype=complex)
-    if len(curve) < 64:
-        raise ValueError("need at least 64 samples")
-    rel = curve - complex(lam)
-    dist = float(np.min(np.abs(rel)))
-    if dist < 1e-9:
-        raise OnCurveError(f"point within {dist:.2e} of the sampled curve")
-    ang = np.angle(rel)
-    inc = np.diff(np.concatenate([ang, ang[:1]]))
-    inc = np.mod(inc + np.pi, 2 * np.pi) - np.pi
-    if np.max(np.abs(inc)) >= np.pi / 2:
-        raise CurveResolutionError("argument increment >= pi/2; refine the curve")
-    total = float(np.sum(inc)) / (2 * np.pi)
-    w = round(total)
-    if abs(total - w) > 0.1:
-        raise CurveResolutionError(f"accumulated angle {total:.4f} not near an integer")
-    return WindingResult(int(w), dist)
+    return _value(winding_numbers(curve, [lam])[0])
+
+
+def _windings(sym: Symbol, curve: np.ndarray, lams: np.ndarray,
+              max_samples: int = _MAX_SAMPLES) -> list:
+    """winding_of_symbol() about each lam, from phi sampled as curve: the
+    points the samples cannot resolve are retried on twice as many."""
+    out = winding_numbers(curve, lams)
+    samples = len(curve)
+    retry = [i for i, r in enumerate(out) if isinstance(r, CurveResolutionError)]
+    while retry and samples < max_samples:
+        samples *= 2
+        for i, r in zip(retry, winding_numbers(boundary_curve(sym, samples), lams[retry])):
+            out[i] = r
+        retry = [i for i in retry if isinstance(out[i], CurveResolutionError)]
+    return out
 
 
 def winding_of_symbol(sym: Symbol, lam: complex = 0j, samples: int = 512,
-                      max_samples: int = 1 << 16) -> WindingResult:
+                      max_samples: int = _MAX_SAMPLES) -> WindingResult:
     """Winding of phi(unit circle) about lam, refining until resolved."""
-    while True:
-        try:
-            return winding_number(boundary_curve(sym, samples), lam)
-        except CurveResolutionError:
-            if samples >= max_samples:
-                raise
-            samples *= 2
+    return _value(_windings(sym, boundary_curve(sym, samples),
+                            np.array([complex(lam)]), max_samples)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _zoom_windows(samples: int, zoom_rounds: int) -> tuple[np.ndarray, ...]:
+    # angle offsets of the zoom rounds around a point's closest sample,
+    # the same for every point
+    windows = []
+    width = 2 * np.pi / samples
+    for _ in range(zoom_rounds):
+        window = np.linspace(-width, width, 129)
+        window.flags.writeable = False
+        windows.append(window)
+        width /= 32.0
+    return tuple(windows)
+
+
+def curve_distances(sym: Symbol, curve: np.ndarray, lams,
+                    zoom_rounds: int = 3) -> np.ndarray:
+    """curve_distance() of each lam, given phi sampled at the len(curve)-th
+    roots of unity (boundary_curve); blocks of points are zoomed at once."""
+    samples = len(curve)
+    lams = np.asarray(lams, dtype=complex)
+    best = np.empty(len(lams))
+    for blk in _blocks(len(lams), samples):
+        lam = lams[blk, None]
+        d = np.abs(curve - lam)
+        rows = np.arange(len(d))
+        i = d.argmin(axis=1)
+        dist, center = d[rows, i], 2 * np.pi * i / samples
+        for window in _zoom_windows(samples, zoom_rounds):
+            local = center[:, None] + window
+            d = np.abs(sym.eval(np.exp(1j * local)) - lam)
+            i = d.argmin(axis=1)
+            di = d[rows, i]
+            closer = di < dist
+            dist = np.where(closer, di, dist)
+            center = np.where(closer, local[rows, i], center)
+        best[blk] = dist
+    return best
 
 
 def curve_distance(sym: Symbol, lam: complex, samples: int = 512,
                    zoom_rounds: int = 3) -> float:
     """Distance from lam to phi(unit circle), by sampling plus local zoom."""
-    thetas = 2 * np.pi * np.arange(samples) / samples
-    vals = sym.eval(np.exp(1j * thetas))
-    d = np.abs(vals - lam)
-    best = int(np.argmin(d))
-    best_d = float(d[best])
-    center = thetas[best]
-    width = 2 * np.pi / samples
-    for _ in range(zoom_rounds):
-        local = center + np.linspace(-width, width, 129)
-        vals = sym.eval(np.exp(1j * local))
-        d = np.abs(vals - lam)
-        i = int(np.argmin(d))
-        if d[i] < best_d:
-            best_d = float(d[i])
-            center = local[i]
-        width /= 32.0
-    return best_d
+    return float(curve_distances(sym, boundary_curve(sym, samples), [lam], zoom_rounds)[0])
+
+
+def _grid_windings(sym: Symbol, lams: list[complex], curve_tol: float, samples: int):
+    """Distance from each lam to phi(T), and the winding_of_symbol() result
+    (or exception) of each point farther than curve_tol, by grid index.
+
+    The sampled curve is evaluated once, for the distances and the first
+    winding pass alike."""
+    lams = np.array(lams, dtype=complex)
+    curve = boundary_curve(sym, samples)
+    dist = curve_distances(sym, curve, lams)
+    off = np.flatnonzero(~(dist <= curve_tol))
+    return dist.tolist(), dict(zip(off.tolist(), _windings(sym, curve, lams[off])))
 
 
 def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6,
@@ -124,11 +207,10 @@ def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6,
     For the special family the zero-count route m(1 - N_t) is computed as
     well and a disagreement raises RouteMismatchError.
     """
-    dist = curve_distance(sym, lam, samples)
-    if dist <= curve_tol:
-        raise OnCurveError(f"lam within {dist:.2e} of phi(T); not Fredholm")
-    wind = winding_of_symbol(sym, lam, samples).winding
-    index = -wind
+    dist, winds = _grid_windings(sym, [complex(lam)], curve_tol, samples)
+    if not winds:
+        raise OnCurveError(f"lam within {dist[0]:.2e} of phi(T); not Fredholm")
+    index = -_value(winds[0]).winding
     if isinstance(sym, SpecialFamilySymbol):
         quad = special_to_quadratic(sym, lam)
         report_count = None
@@ -163,6 +245,37 @@ class SpectrumVerdict:
     poincare_moduli: tuple[float, ...] = ()
 
 
+def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
+                    rel_tol: float = 1e-6, samples: int = 512) -> list[SpectrumVerdict]:
+    """spectrum_membership() at each lam, with the work shared by the points.
+
+    The sampled curve is evaluated once, distances and windings are taken
+    for blocks of points at a time, and the zeros of every winding-zero
+    phi_lam are found by one cpoly.roots_many call.  Each point gets
+    exactly the floating-point operations it gets alone, so the verdicts
+    equal the one-point answers.  When points raise, the exception of the
+    first of them in the order of lams is raised.
+    """
+    lams = [complex(lam) for lam in lams]
+    dist, winds = _grid_windings(sym, lams, curve_tol, samples)
+    failed = [i for i, r in winds.items() if isinstance(r, Exception)]
+    stop = min(failed, default=len(lams))
+    zero = [i for i, r in winds.items() if i < stop and r.winding == 0]
+    checks = dict(zip(zero, poincare_conditions(sym, [lams[i] for i in zero], rel_tol)))
+    if failed:
+        raise winds[stop]
+    verdicts = []
+    for i, d in enumerate(dist):
+        if i not in winds:
+            verdicts.append(SpectrumVerdict(IN_ESSENTIAL, d))
+        elif i not in checks:
+            verdicts.append(SpectrumVerdict(IN_BY_INDEX, d, winds[i].winding))
+        else:
+            status = OUT_CERTIFIED if checks[i].ok else ASSUMPTION_FAILED
+            verdicts.append(SpectrumVerdict(status, d, 0, checks[i].moduli))
+    return verdicts
+
+
 def spectrum_membership(sym: HarmonicPolySymbol, lam: complex,
                         curve_tol: float = 1e-6, rel_tol: float = 1e-6,
                         samples: int = 512) -> SpectrumVerdict:
@@ -174,16 +287,7 @@ def spectrum_membership(sym: HarmonicPolySymbol, lam: complex,
     recursion asymptotics then certify invertibility); when that
     hypothesis fails no verdict is claimed (assumption_failed).
     """
-    dist = curve_distance(sym, lam, samples)
-    if dist <= curve_tol:
-        return SpectrumVerdict(IN_ESSENTIAL, dist)
-    wind = winding_of_symbol(sym, lam, samples).winding
-    if wind != 0:
-        return SpectrumVerdict(IN_BY_INDEX, dist, wind)
-    chk = poincare_condition(sym, lam, rel_tol)
-    if chk.ok:
-        return SpectrumVerdict(OUT_CERTIFIED, dist, wind, chk.moduli)
-    return SpectrumVerdict(ASSUMPTION_FAILED, dist, wind, chk.moduli)
+    return membership_grid(sym, [lam], curve_tol, rel_tol, samples)[0]
 
 
 INTERIOR = "interior"

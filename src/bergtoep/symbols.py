@@ -130,12 +130,20 @@ class AssociatedPoly:
             raise ValueError("associated polynomial must have constant term 1")
 
 
+# roots of unity evaluated at a time: the finest curve a winding number
+# refines to (65536 samples) then takes a quarter of the temporary memory
+_CURVE_CHUNK = 1 << 14
+
+
 def boundary_curve(sym: Symbol, samples: int) -> np.ndarray:
     """phi evaluated at the `samples`-th roots of unity, in order."""
     if samples < 16:
         raise ValueError("need at least 16 samples")
-    z = np.exp(2j * np.pi * np.arange(samples) / samples)
-    return sym.eval(z)
+    curve = np.empty(samples, dtype=complex)
+    for start in range(0, samples, _CURVE_CHUNK):
+        k = np.arange(start, min(start + _CURVE_CHUNK, samples))
+        curve[start:start + len(k)] = sym.eval(np.exp(2j * np.pi * k / samples))
+    return curve
 
 
 def associated_poly(sym: HarmonicPolySymbol, lam: complex = 0j) -> AssociatedPoly:
@@ -170,6 +178,14 @@ class PoincareCheck:
     moduli: tuple[float, ...]
 
 
+def poincare_conditions(sym: HarmonicPolySymbol, lams: Sequence[complex],
+                        rel_tol: float = 1e-6) -> list[PoincareCheck]:
+    """poincare_condition() at each lam, the roots found together."""
+    zps = cpoly.zero_patterns([associated_poly(sym, lam).poly for lam in lams],
+                              0.0)  # disk count unread
+    return [PoincareCheck(zp.distinct(rel_tol), zp.moduli) for zp in zps]
+
+
 def poincare_condition(sym: HarmonicPolySymbol, lam: complex = 0j,
                        rel_tol: float = 1e-6) -> PoincareCheck:
     """Whether phi_lam has zeros with pairwise distinct moduli.
@@ -177,8 +193,7 @@ def poincare_condition(sym: HarmonicPolySymbol, lam: complex = 0j,
     Degree zero (no zeros at all) passes vacuously.  The sorted root
     moduli are returned as evidence.
     """
-    zp = cpoly.zero_pattern(associated_poly(sym, lam).poly, 0.0)  # disk count unread
-    return PoincareCheck(zp.distinct(rel_tol), zp.moduli)
+    return poincare_conditions(sym, [lam], rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

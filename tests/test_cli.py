@@ -218,6 +218,30 @@ class TestLibraryErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: CurveResolutionError: ") and err.count("\n") == 1
 
+    def test_grid_error_matches_point_error(self, capsys):
+        # the unresolved-winding lambda as the last node of a 16^2 grid
+        sym = json.dumps(to_json(HarmonicPolySymbol(
+            1, (), (1.8222031143572273 + 2.0934468164492177j,
+                    1.4112562786244354 - 0.16748957484570237j,
+                    3.975748168089595 - 0.0827677011681982j))))
+        lam = 4.470470381272609 + 6.146630148753228j
+        assert run(["spectrum", "--symbol", sym, f"--lambda={lam!r}"]) == 1
+        point = capsys.readouterr().err
+        grid = f"--grid={lam.real - 2!r},{lam.real!r},{lam.imag - 2!r},{lam.imag!r},16"
+        assert run(["spectrum", "--symbol", sym, grid]) == 1
+        assert capsys.readouterr().err == point
+
+    @pytest.mark.parametrize("where", ["--lambda=1.5000000005",
+                                       "--grid=-2,1.5000000005,-2,0,16"])
+    def test_point_on_sampled_curve_exits_1(self, capsys, where):
+        # conj(z) + z/2 passes 1.5 at a curve sample; 5e-10 from it is off
+        # the curve at --tol-curve 1e-12, but too close for a winding number
+        sym = '{"m":1,"anti":[],"ana":[[0,0],[0.5,0]]}'
+        rc = run(["spectrum", "--symbol", sym, where, "--tol-curve", "1e-12"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OnCurveError: point within ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("exc", [cpoly.RootFindingError, cpoly.NumericIntegrityError])
     def test_numeric_failures_exit_1(self, capsys, monkeypatch, exc):
         def fail(*args, **kwargs):

@@ -250,3 +250,100 @@ def test_json_roundtrip():
     assert data == [[1.0, 2.0], [0.0, 0.0], [-0.0, -3.0]] or data[2][1] == -3.0
     q = cpoly.from_json_coeffs(data)
     assert q == p
+
+
+def gaussian_corpus():
+    # the seed-7 corpus of test_gaussian_corpus_accepted_on_backward_error
+    gen = np.random.default_rng(7)
+    for _ in range(5000):
+        deg = int(gen.integers(1, 13))
+        yield CPoly.make(list(gen.normal(size=deg + 1) + 1j * gen.normal(size=deg + 1)))
+
+
+def wide_corpus(count=400):
+    # coefficients spread over 60 decades: Aberth roots that fail both
+    # acceptance tests, some rescued by the companion matrix and some not
+    gen = np.random.default_rng(8)
+    for _ in range(count):
+        deg = int(gen.integers(3, 10))
+        cs = gen.normal(size=deg + 1) + 1j * gen.normal(size=deg + 1)
+        yield CPoly.make(list(cs * 10.0 ** gen.uniform(-30, 30, deg + 1)))
+
+
+def bits(rs):
+    return np.array(rs, dtype=complex).tobytes()
+
+
+def reversed_branch(p):
+    # degree >= 3 once zero constants are stripped, leading coefficient the
+    # smaller: the iteration runs on the reversed polynomial
+    cs = list(p.coeffs)
+    while cs[0] == 0:
+        cs.pop(0)
+    return len(cs) > 3 and abs(cs[-1]) < abs(cs[0])
+
+
+def outcome(p):
+    try:
+        return bits(cpoly.roots(p))
+    except cpoly.RootFindingError as exc:
+        return exc
+
+
+class TestRootsMany:
+    def test_bitwise_equal_to_roots_by_degree(self):
+        corpus = list(gaussian_corpus())
+        # every seventh polynomial again, with two zero constants to strip
+        corpus += [CPoly.make([0, 0, *p.coeffs]) for p in corpus[::7]]
+        groups: dict[int, list[CPoly]] = {}
+        for p in corpus:
+            groups.setdefault(p.degree, []).append(p)
+        assert set(groups) == set(range(1, 15))
+        for group in groups.values():
+            got = cpoly.roots_many(group)
+            assert [bits(rs) for rs in got] == [bits(cpoly.roots(p)) for p in group]
+        assert sum(map(reversed_branch, corpus)) > 1000
+        # one call mixing all degrees
+        assert ([bits(rs) for rs in cpoly.roots_many(corpus[:600])]
+                == [bits(cpoly.roots(p)) for p in corpus[:600]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_companion_fallback_lanes(self, monkeypatch):
+        corpus = list(wide_corpus())
+        want = [outcome(p) for p in corpus]
+        fallbacks = []
+        numpy_roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda a: fallbacks.append(a) or numpy_roots(a))
+        ok = [p for p, w in zip(corpus, want) if isinstance(w, bytes)]
+        by_degree: dict[int, list[CPoly]] = {}
+        for p in ok:
+            by_degree.setdefault(p.degree, []).append(p)
+        for group in by_degree.values():
+            assert [bits(rs) for rs in cpoly.roots_many(group)] == [outcome(p) for p in group]
+        assert len(fallbacks) > 20
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_failing_lane_raises(self):
+        corpus = list(wide_corpus())
+        want = [outcome(p) for p in corpus]
+        bad = [i for i, w in enumerate(want) if isinstance(w, Exception)]
+        assert len(bad) > 20
+        first, second = bad[0], bad[1]
+        assert str(want[first]) != str(want[second])
+        lanes = corpus[:second + 1] + [CPoly.make([1, 2, 3]), CPoly.make([0, 0, 5, 1])]
+        with pytest.raises(cpoly.RootFindingError) as exc:
+            cpoly.roots_many(lanes)
+        assert str(exc.value) == str(want[first])
+        # a failing lane after the zero polynomial: the ValueError comes first
+        with pytest.raises(ValueError):
+            cpoly.roots_many([CPoly.make([1, 1]), CPoly.make([0]), corpus[first]])
+
+    def test_closed_forms_and_zero_constants(self):
+        polys = [CPoly.make([2, -3, 1]), CPoly.make([0, 0, 1, 1]), CPoly.make([3, 1]),
+                 CPoly.make([0, 4]), CPoly.make([0, 0, 0, 2]), CPoly.make([1, 0, 2]),
+                 CPoly.make([0, 1, 0, 0, 1])]
+        got = cpoly.roots_many(polys)
+        assert [bits(rs) for rs in got] == [bits(cpoly.roots(p)) for p in polys]
+        assert got[4] == [0j, 0j, 0j]
+        assert got[1][:2] == [0j, 0j]
+        assert cpoly.roots_many([]) == []

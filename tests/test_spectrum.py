@@ -7,7 +7,8 @@ from bergtoep.spectrum import (OnCurveError, classify_projective,
                                invertibility_criterion, special_family_region,
                                spectrum_membership, winding_number,
                                winding_of_symbol)
-from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus
+from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, boundary_curve,
+                              zbar_power_plus)
 
 
 def circle(samples=256):
@@ -297,3 +298,119 @@ class TestRegionClassifyConsistency:
             assert special_family_region(m, alpha, beta, lam_in) == spectrum.INTERIOR
             v = classify_projective(m, alpha, beta - lam_in, 1.0)
             assert v.region in (spectrum.OMEGA0, spectrum.OMEGA2)
+
+
+# (m, n) of the spectrum benchmark's general grids, and n = 0
+GRID_SHAPES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 0), (2, 0)]
+
+
+def grid_symbols():
+    """Two seeded symbols per shape: random coefficients, and phi_0 built
+    from zeros of distinct moduli; for (2, 0) the second is conj(z)^2 + a_0,
+    whose phi_lam has two zeros of equal modulus."""
+    gen = np.random.default_rng(11)
+    for m, n in GRID_SHAPES:
+        yield HarmonicPolySymbol(m, tuple(complex(*gen.uniform(-1, 1, 2)) for _ in range(m - 1)),
+                                 tuple(complex(*gen.uniform(-1.5, 1.5, 2)) for _ in range(n + 1)))
+        if (m, n) == (2, 0):
+            yield zbar_power_plus(2, [complex(*gen.uniform(-1, 1, 2))])
+            continue
+        zeros = gen.uniform(0.3, 3.0, m + n) * np.exp(2j * np.pi * gen.uniform(size=m + n))
+        cs = np.poly(1 / zeros)[::-1] / np.prod(-1 / zeros)
+        yield HarmonicPolySymbol(m, tuple(cs[1:m]), tuple(cs[m:]))
+
+
+def padded_grid(sym, res=16, pad=0.25):
+    curve = boundary_curve(sym, 512)
+    re0, re1 = curve.real.min(), curve.real.max()
+    im0, im1 = curve.imag.min(), curve.imag.max()
+    w = pad * max(re1 - re0, im1 - im0, 0.5)
+    return [complex(re, im) for im in np.linspace(im0 - w, im1 + w, res)
+            for re in np.linspace(re0 - w, re1 + w, res)]
+
+
+def one_point_answers(sym, lams, **tols):
+    """repr of spectrum_membership at each lam, up to the first exception."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(repr(spectrum_membership(sym, lam, **tols)))
+        except (OnCurveError, spectrum.CurveResolutionError, cpoly.RootFindingError) as exc:
+            return out, exc
+    return out, None
+
+
+class TestMembershipGrid:
+    def test_verdicts_equal_one_point_answers(self):
+        statuses = {}
+        refined = 0
+        for sym in grid_symbols():
+            lams = padded_grid(sym)
+            for curve_tol in (1e-6, 0.05):
+                want, exc = one_point_answers(sym, lams, curve_tol=curve_tol)
+                assert exc is None, exc
+                got = spectrum.membership_grid(sym, lams, curve_tol=curve_tol)
+                assert [repr(v) for v in got] == want
+                for v in got:
+                    statuses[v.status] = statuses.get(v.status, 0) + 1
+            # points the first 512-sample winding pass cannot resolve
+            refined += sum(isinstance(r, spectrum.CurveResolutionError)
+                           for r in spectrum.winding_numbers(boundary_curve(sym, 512), lams))
+        assert set(statuses) == {spectrum.IN_ESSENTIAL, spectrum.IN_BY_INDEX,
+                                 spectrum.OUT_CERTIFIED, spectrum.ASSUMPTION_FAILED}
+        assert refined > 0
+
+    def test_first_failing_point_raises(self):
+        # lam lies 4.9e-5 from the boundary curve, finer than the finest
+        # winding sampling resolves
+        sym = HarmonicPolySymbol(1, (), (1.8222031143572273 + 2.0934468164492177j,
+                                         1.4112562786244354 - 0.16748957484570237j,
+                                         3.975748168089595 - 0.0827677011681982j))
+        lam = 4.470470381272609 + 6.146630148753228j
+        lams = [complex(re, im) for im in np.linspace(lam.imag - 2, lam.imag, 16)
+                for re in np.linspace(lam.real - 2, lam.real, 16)]
+        assert lams[-1] == lam
+        want, exc = one_point_answers(sym, lams)
+        assert len(want) == 255 and isinstance(exc, spectrum.CurveResolutionError)
+        with pytest.raises(spectrum.CurveResolutionError) as grid:
+            spectrum.membership_grid(sym, lams)
+        assert str(grid.value) == str(exc)
+        assert [repr(v) for v in spectrum.membership_grid(sym, lams[:-1])] == want
+
+    def test_root_and_winding_failures_in_point_order(self, monkeypatch):
+        # of the points that raise, the first raises, whether its winding or
+        # the roots of its phi_lam failed
+        sym = HarmonicPolySymbol(1, (), (1.8222031143572273 + 2.0934468164492177j,
+                                         1.4112562786244354 - 0.16748957484570237j,
+                                         3.975748168089595 - 0.0827677011681982j))
+        unresolved = 4.470470381272609 + 6.146630148753228j
+        far = 40 + 40j
+        assert spectrum_membership(sym, far).winding == 0
+        conditions = spectrum.poincare_conditions
+
+        def failing(sym, lams, rel_tol):
+            if far in lams:
+                raise cpoly.RootFindingError("at far")
+            return conditions(sym, lams, rel_tol)
+
+        monkeypatch.setattr(spectrum, "poincare_conditions", failing)
+        # 5e-10 from a curve sample: off the curve at curve_tol 1e-12, but too
+        # close for a winding number
+        on_sample = complex(boundary_curve(sym, 512)[7]) + 5e-10
+        for lams, want in (([0j, far, unresolved], cpoly.RootFindingError),
+                           ([0j, unresolved, far], spectrum.CurveResolutionError),
+                           ([far, on_sample, unresolved], cpoly.RootFindingError),
+                           ([on_sample, unresolved, far], OnCurveError),
+                           ([unresolved, on_sample, far], spectrum.CurveResolutionError)):
+            _, exc = one_point_answers(sym, lams, curve_tol=1e-12)
+            assert isinstance(exc, want)
+            with pytest.raises(want) as grid:
+                spectrum.membership_grid(sym, lams, curve_tol=1e-12)
+            assert str(grid.value) == str(exc)
+
+    def test_fredholm_index_matches_membership_winding(self):
+        for sym in grid_symbols():
+            lams = padded_grid(sym)[::5]
+            for lam, v in zip(lams, spectrum.membership_grid(sym, lams)):
+                if v.status != spectrum.IN_ESSENTIAL:
+                    assert fredholm_index(sym, lam) == -v.winding
