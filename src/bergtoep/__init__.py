@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 from .cpoly import (CPoly, NumericIntegrityError, RootFindingError,
                     SchurCohnReport, ZeroPattern, distinct_moduli, eval_poly,
                     roots, roots_many, schur_cohn, sign_variations, zero_pattern)
-from .finsect import (ToeplitzTruncation, apply_symbol, min_singular_value,
-                      truncation, tstar_zm_check)
+from .finsect import (SigmaGrid, ToeplitzTruncation, apply_symbol, min_singular_value,
+                      min_singular_values, truncation, tstar_zm_check)
 from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,
                      MembershipVerdict, closed_form_kernel_czn,
                      coburn_classify, injectivity_test, kernel_dimension,

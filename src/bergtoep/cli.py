@@ -320,32 +320,40 @@ def cmd_probe(parser, args) -> int:
     sym = _require_symbol(parser, args)
     if args.grid is None:
         parser.error("probe needs --grid")
+    least = finsect.min_dimension(sym)
+    if args.N < least:
+        parser.error(f"N must be at least {least} (twice the bandwidth "
+                     f"{finsect.bandwidth(sym)}, and at least 2)")
     config = {"symbol": symbols.to_json(sym), "grid": args.grid, "N": args.N}
     outdir = _outdir(args)
     T = finsect.truncation(sym, args.N)
     re0, re1, im0, im1, res = args.grid
-    rows = []
-    for im in np.linspace(im0, im1, res):
-        for re in np.linspace(re0, re1, res):
-            lam = complex(re, im)
-            rows.append((lam, finsect.min_singular_value(T, lam)))
+    lams = [complex(re, im) for im in np.linspace(im0, im1, res)
+            for re in np.linspace(re0, re1, res)]
+    grid = finsect.min_singular_values(T, lams)
+    sigmas = grid.sigma.tolist()
+    # below N eps ||T - lam|| no method resolves sigma_min
+    resolved = (grid.sigma > args.N * np.finfo(float).eps * grid.nu).tolist()
     if outdir is not None:
-        with _csv_open(outdir / "probe.csv", "lam_re,lam_im,sigma_min", config) as fh:
-            for lam, s in rows:
-                fh.write(f"{lam.real!r},{lam.imag!r},{s!r}\n")
+        with _csv_open(outdir / "probe.csv", "lam_re,lam_im,sigma_min,resolved", config) as fh:
+            for lam, s, ok in zip(lams, sigmas, resolved):
+                fh.write(f"{lam.real!r},{lam.imag!r},{s!r},{int(ok)}\n")
         curve = symbols.boundary_curve(sym, 1024)
-        smin = min(s for _, s in rows)
-        smax = max(s for _, s in rows)
+        smin = min(sigmas)
+        smax = max(sigmas)
         span = max(smax - smin, 1e-30)
         colors = []
-        for _, s in rows:
+        for s in sigmas:
             level = int(255 * (s - smin) / span)
             colors.append(f"rgb({level},{level},255)")
-        _svg_scatter(outdir / "probe.svg", curve, [lam for lam, _ in rows], colors)
+        _svg_scatter(outdir / "probe.svg", curve, lams, colors)
+    certified = int(grid.certified.sum())
     _write_summary(outdir, "probe", config,
-                   {"sigma_min": min(s for _, s in rows),
-                    "sigma_max": max(s for _, s in rows)})
-    print(f"sigma_min over grid: {min(s for _, s in rows)!r}")
+                   {"sigma_min": min(sigmas), "sigma_max": max(sigmas),
+                    "certified": certified, "dense": len(lams) - certified,
+                    "unresolved": resolved.count(False), "passes": grid.passes,
+                    "delta": finsect.DELTA, "classes": grid.classes})
+    print(f"sigma_min over grid: {min(sigmas)!r}")
     return 0
 
 

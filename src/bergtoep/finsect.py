@@ -16,14 +16,32 @@ the conj(z)^s band has entries sqrt(k-s+1)/sqrt(k+1) at (k-s, k) and the
 z^s band sqrt(k+1)/sqrt(k+s+1) at (k+s, k).  Spectral quantities of
 truncations are heuristic evidence only; finite sections of non-normal
 Toeplitz operators may have spurious near-kernels.
+
+sigma_min(T - lam) over a grid of lam (min_singular_values) is certified
+without a dense SVD where it can be: T splits exactly into residue classes
+mod g, the gcd of its nonzero diagonal offsets (g = m for the special
+family, usually 1 for other symbols), and in each class bisection on s
+tests M - s^2 I for positive definiteness, M = (T - lam)^H (T - lam), by a
+banded LDL^H factorization run lane-wise over a block of lam.  Rounding in
+forming M and in the factorization moves lambda_min(M) by at most
+C_w eps nu^2 (nu >= ||T - lam||_2, C_w from the band width, see _c_w), so
+each test decides sigma_min against s to relative DELTA = 1e-9 once
+s >= nu sqrt(C_w eps / DELTA), which is 2e-3 to 5e-3 nu for band widths
+w = 0..4; the reported value is within 2 DELTA of sigma_min.  Smaller
+sigma_min, and non-finite or extreme data, fall back to the dense
+min_singular_value, bit for bit.  Squaring into M is what sets that
+threshold.  Apart from it, no method here resolves sigma_min below about
+N eps nu; the probe command marks such points as unresolved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .symbols import SpecialFamilySymbol, Symbol
 
@@ -112,12 +130,22 @@ class ToeplitzTruncation:
         np.ascontiguousarray(self.entries).astype("<c16").tofile(path)
 
 
+def bandwidth(sym: Symbol) -> int:
+    """Largest anti-analytic shift plus largest analytic shift of the symbol."""
+    anti, ana = _terms(sym)
+    return max([s for s, _ in anti], default=0) + max([s for s, _ in ana], default=0)
+
+
+def min_dimension(sym: Symbol) -> int:
+    """Smallest section size `truncation` accepts: twice the bandwidth, at least 2."""
+    return max(2 * bandwidth(sym), 2)
+
+
 def truncation(sym: Symbol, n: int) -> ToeplitzTruncation:
     """Banded n x n truncation; needs n at least twice the bandwidth."""
     anti, ana = _terms(sym)
-    band = max([s for s, _ in anti], default=0) + max([s for s, _ in ana], default=0)
-    if n < max(2 * band, 2):
-        raise ValueError(f"dimension {n} too small for bandwidth {band}")
+    if n < min_dimension(sym):
+        raise ValueError(f"dimension {n} too small for bandwidth {bandwidth(sym)}")
     E = np.zeros((n, n), dtype=complex)
     k = np.arange(n, dtype=float)
     for s, w in anti:
@@ -140,3 +168,313 @@ def min_singular_value(T: Union[ToeplitzTruncation, np.ndarray], lam: complex = 
     E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
     A = E - complex(lam) * np.eye(E.shape[0])
     return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+# ---------------------------------------------------------------------------
+# certified smallest singular values over a grid of shifts
+# ---------------------------------------------------------------------------
+
+DELTA = 1e-9
+_EPS = float(np.finfo(float).eps)
+# bytes of the bands of M and the factorization buffer for one block of lanes
+_BLOCK_BYTES = 2 << 20
+# rows streamed through the factorization window at a time
+_CHUNK = 8
+# lams whose bands are filled at once, which bounds the temporaries
+_FILL_LANES = 32
+# nu outside this range goes dense: inside it nu^2, the shifts s^2 and the
+# band entries of M neither overflow nor underflow to a loss above eps*nu^2
+_NU_RANGE = (1e-100, 1e100)
+# a bracket [t, nu] closes to 1 + 2*DELTA in at most 33 halvings of its log
+_MAX_PASSES = 64
+
+
+@dataclass(frozen=True)
+class SigmaGrid:
+    """Smallest singular values of T - lam over a list of shifts lam.
+
+    `sigma[i]` belongs to `lams[i]`.  Where `certified[i]` it is the
+    geometric mean of a bisection bracket and within 2*DELTA relative of
+    sigma_min(T - lam); elsewhere it is `min_singular_value(T, lam)`, bit
+    for bit.  `nu[i]` = sqrt(||T - lam||_1 ||T - lam||_inf) bounds
+    ||T - lam||_2.  `classes` is g, and `passes` counts the banded
+    factorizations, one per lane block and bisection step.
+    """
+
+    sigma: np.ndarray
+    certified: np.ndarray
+    nu: np.ndarray
+    classes: int
+    passes: int
+
+
+class _Classes:
+    """T split exactly into its g residue classes mod g, each padded to L rows.
+
+    Arrays run over (class row i, class r).  col(t)[i, r] is the entry of
+    column i of class r that lies t class rows below the diagonal,
+    T[r + g(i + t), r + g i], zero outside the class and for t = 0;
+    diag holds the diagonal.  fixed[k, i, r] is the part of
+    M[i, i+k] = sum_t conj(A[i+t, i]) A[i+t, i+k], A = T - lam, that does
+    not involve the diagonal, so not lam; bands k > h = max(upper, lower)
+    have no other part.
+    """
+
+    def __init__(self, E: np.ndarray):
+        n = E.shape[0]
+        rows, cols = np.nonzero(E)
+        # np.unique would import numpy.ma, about 1 MB
+        offsets = np.flatnonzero(np.bincount(cols - rows + n, minlength=2 * n)) - n
+        offsets = offsets[offsets != 0]
+        g = self.g = int(np.gcd.reduce(np.abs(offsets))) if offsets.size else n
+        self.upper = int(offsets.max(initial=0)) // g
+        self.lower = -int(offsets.min(initial=0)) // g
+        self.w = self.upper + self.lower
+        self.h = max(self.upper, self.lower)
+        L = self.L = -(-n // g)
+        idx = g * np.arange(L)[:, None] + np.arange(g)[None, :]
+        self.valid = idx < n
+        self.cols = np.zeros((self.w + 1, L, g), dtype=complex)
+        for j, t in enumerate(range(-self.upper, self.lower + 1)):
+            r = idx + g * t
+            ok = self.valid & (r >= 0) & (r < n)
+            self.cols[j][ok] = E[r[ok], idx[ok]]
+        self.diag = self.col(0).copy()
+        self.col(0)[:] = 0
+        self.fixed = np.zeros((self.w + 1, L, g), dtype=complex)
+        for k in range(self.w + 1):
+            for t in range(k - self.upper, self.lower + 1):
+                self.fixed[k, :L - k] += np.conj(self.col(t)[:L - k]) * self.col(t - k)[k:]
+        absc = np.abs(self.cols)
+        self.colsum = absc.sum(axis=0)
+        self.rowsum = np.zeros_like(self.colsum)
+        for j, t in enumerate(range(-self.upper, self.lower + 1)):
+            if t >= 0:
+                self.rowsum[t:] += absc[j, :L - t]
+            else:
+                self.rowsum[:t] += absc[j, -t:]
+
+    def col(self, t: int) -> np.ndarray:
+        return self.cols[t + self.upper]
+
+
+def _c_w(w: int) -> float:
+    """Rounding constant C_w of the certificate, in units of eps * nu^2.
+
+    With u = eps/2 and gamma_k = k u / (1 - k u), the computed quantities
+    differ from exact ones by at most (each term in units of eps nu^2):
+      1.5         forming A = T - lam (|dA| <= u|A|, so sigma^2 moves by
+                  at most 3 u nu^2);
+      w + 2       forming M = A^H A, each entry a sum of at most w + 1
+                  complex products (|dM| <= 2 gamma_{w+2} |A|^H |A|, and
+                  || |A| ||_2 <= nu);
+      1           subtracting s^2 on the diagonal;
+      (2w+1)(w+2) the banded LDL^H factorization of H = M - s^2 I: Demmel's
+                  theorem (Higham, Accuracy and Stability of Numerical
+                  Algorithms, Thm 10.7) with the inner-product length w + 1
+                  and the band count 2w + 1 of |R|^H |R| in place of n,
+                  complex rounding doubling gamma, and max H_ii <= nu^2.
+                  It bounds both the backward error of a completed
+                  factorization and lambda_min(H) of one that breaks down.
+    The sum is doubled, which absorbs the 1/(1 - gamma) factors, the
+    rounding of nu and of s^2, and second-order terms.
+    """
+    return 2.0 * ((2 * w + 1) * (w + 2) + w + 4.5)
+
+
+def _fill(cl: _Classes, lams: np.ndarray, diag: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Write the lam-dependent bands of M for `lams` and return nu per lam.
+
+    diag[i, j, r] = M[i, i] and near[i, k-1, j, r] = M[i, i+k] (k = 1..h) of
+    class r at lams[j]; rows of a class shorter than L hold 2 nu^2 on the
+    diagonal, above any s^2 tried.
+    """
+    L, valid = cl.L, cl.valid[:, None, :]
+    Dc = np.where(valid, np.conj(cl.diag)[:, None, :] - np.conj(lams)[None, :, None], 0)
+    absD = np.abs(Dc)
+    absD += cl.colsum[:, None, :]
+    norm1 = absD.max(axis=(0, 2))
+    absD += (cl.rowsum - cl.colsum)[:, None, :]
+    nu = np.sqrt(norm1 * absD.max(axis=(0, 2)))
+    del absD
+    np.add(cl.fixed[0].real[:, None, :], Dc.real ** 2, out=diag)
+    diag += Dc.imag ** 2
+    np.copyto(diag, (2 * nu * nu)[:, None], where=~valid)
+    tmp = np.empty_like(Dc)
+    for k in range(1, cl.h + 1):
+        n = L - k
+        out, part = near[:n, k - 1], tmp[:n]
+        out[...] = cl.fixed[k, :n, None, :]
+        near[n:, k - 1] = 0
+        if k <= cl.upper:
+            out += np.multiply(Dc[:n], cl.col(-k)[k:, None, :], out=part)
+        if k <= cl.lower:
+            np.multiply(cl.col(k)[:n, None, :], Dc[k:], out=part)
+            out += np.conjugate(part, out=part)
+    return nu
+
+
+class _Block:
+    """Bands of M = (T - lam)^H (T - lam) for every class and a block of lams.
+
+    Lane j*g + r is class r at lams[j]; rows are class rows, with w rows of
+    padding.  diag[i, lane] = M[i, i], near[i, k-1, lane] = M[i, i+k] for
+    k = 1..h, and far[i, k-h-1, r] = M[i, i+k] for the bands k > h, which
+    do not depend on lam.  hi per lane is the smallest column norm of the
+    class, an upper bound on its sigma_min.
+    """
+
+    def __init__(self, cl: _Classes, lams: np.ndarray):
+        L, w, h, g = cl.L, cl.w, cl.h, cl.g
+        diag = np.ones((L + w, lams.size, g))
+        near = np.zeros((L + w, h, lams.size, g), dtype=complex)
+        self.nu = np.empty(lams.size)
+        for j in range(0, lams.size, _FILL_LANES):
+            part = slice(j, j + _FILL_LANES)
+            self.nu[part] = _fill(cl, lams[part], diag[:L, part], near[:L, :, part])
+        self.hi = np.sqrt(diag[:L].min(axis=0)).reshape(-1)
+        self.diag = diag.reshape(L + w, lams.size * g)
+        self.near = near.reshape(L + w, h, lams.size * g)
+        self.far = np.zeros((L + w, w - h, 1, g), dtype=complex)
+        self.far[:L] = cl.fixed[h + 1:].transpose(1, 0, 2)[:, :, None, :]
+        self.g = g
+
+    def keep(self, lams: np.ndarray) -> None:
+        """Drop the lams not in the boolean mask, in place, rows a chunk at a time."""
+        lanes = np.repeat(lams, self.g)
+        k = int(lanes.sum())
+        for r in range(0, self.diag.shape[0], _CHUNK):
+            rows = slice(r, r + _CHUNK)
+            self.diag[rows, :k] = self.diag[rows, lanes]
+            self.near[rows, :, :k] = self.near[rows][:, :, lanes]
+        self.diag, self.near = self.diag[:, :k], self.near[:, :, :k]
+        self.hi = self.hi[lanes]
+
+
+class _Sweep:
+    """Lane-wise test: does banded LDL^H of M - s^2 I keep every pivot > 0?
+
+    The factorization runs right-looking: the pivot p of row i updates only
+    the next w rows, M[i+a, i+a+d] -= conj(M[i, i+a]) M[i, i+a+d] / p, so
+    each step works in a (w+1)^2 Schur-complement window.  Rows of M stream
+    through a buffer of _CHUNK + w rows, zero past the band, and only the
+    signs of the pivots are kept.  A NaN pivot counts as a breakdown.
+    """
+
+    def __init__(self, block: _Block):
+        self.block = block
+        rows, h, lanes = block.near.shape
+        w = h + block.far.shape[1]
+        self.w, self.L = w, rows - w
+        self.chunk = min(_CHUNK, self.L)
+        w1 = w + 1
+        buf = self.buf = np.zeros((self.chunk + w, 2 * w + 1, lanes), dtype=complex)
+        self.far_view = buf.reshape(self.chunk + w, 2 * w + 1, lanes // block.g,
+                                    block.g)[:, h + 1:w1]
+        st = buf.strides
+        # shifted[j, a, d] = buf[j, 1 + a + d], zero where a + d >= w
+        shifted = as_strided(buf[:, 1:], shape=(self.chunk, w, w1, lanes),
+                             strides=(st[0], st[1], st[1], st[2]), writeable=False)
+        self.steps = [(buf[j, 0].real, buf[j, 1:w1], shifted[j], buf[j + 1:j + w1, :w1])
+                      for j in range(self.chunk)]
+        self.inv = np.zeros(lanes, dtype=complex)
+        self.c = np.empty((w, lanes), dtype=complex)
+        self.update = np.empty((w, w1, lanes), dtype=complex)
+
+    def _load(self, dst: slice, src: slice, s2: np.ndarray) -> None:
+        b, buf = self.block, self.buf
+        h = b.near.shape[1]
+        np.subtract(b.diag[src], s2, out=buf[dst, 0])
+        buf[dst, 1:h + 1] = b.near[src]
+        self.far_view[dst] = b.far[src]
+
+    def __call__(self, s2: np.ndarray) -> np.ndarray:
+        buf, w, L, chunk = self.buf, self.w, self.L, self.chunk
+        w1 = w + 1
+        inv, inv_re, c, update = self.inv, self.inv.real, self.c, self.update
+        c_col = c[:, None]
+        ok = np.ones(buf.shape[2], dtype=bool)
+        self._load(slice(0, chunk + w), slice(0, chunk + w), s2)
+        for start in range(0, L, chunk):
+            n = min(chunk, L - start)
+            if start:
+                buf[:w, :w1] = buf[chunk:chunk + w, :w1]
+                self._load(slice(w, w + n), slice(start + w, start + w + n), s2)
+            for pivot, row, shifted, target in self.steps[:n]:
+                np.divide(1.0, pivot, out=inv_re)
+                np.conjugate(row, out=c)
+                c *= inv
+                np.multiply(c_col, shifted, out=update)
+                target -= update
+            ok &= np.all(buf[:n, 0].real > 0, axis=0)
+        return ok
+
+
+def min_singular_values(T: Union[ToeplitzTruncation, np.ndarray],
+                        lams: Sequence[complex]) -> SigmaGrid:
+    """sigma_min(T - lam) for every lam, certified by banded bisection.
+
+    T is split exactly into its residue classes mod g, the gcd of its
+    nonzero diagonal offsets.  For each class and lam, bisection on s tests
+    whether M - s^2 I is positive definite, M = (T - lam)^H (T - lam),
+    with a banded LDL^H factorization.  With nu >= ||T - lam||_2 and the
+    rounding constant C_w of `_c_w`, a success at s proves sigma_min >=
+    s sqrt(1 - DELTA) and a breakdown proves sigma_min <= s sqrt(1 + DELTA)
+    once s >= t = nu sqrt(C_w eps / DELTA).  Each lane first tests its
+    threshold t; a success opens the bracket [t, smallest column norm],
+    which is halved in log scale until hi/lo <= 1 + 2 DELTA, and
+    sqrt(lo hi) is reported.  A lam whose threshold test breaks down in any
+    class, whose nu is outside _NU_RANGE (non-finite data included) or
+    whose bracket does not close in _MAX_PASSES is answered by the dense
+    `min_singular_value` instead.
+    """
+    E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    sigma = np.empty(lams.size)
+    certified = np.zeros(lams.size, dtype=bool)
+    nu = np.empty(lams.size)
+    passes = 0
+    with np.errstate(all="ignore"):
+        cl = _Classes(E)
+        w = cl.w
+        per_lam = cl.g * ((cl.L + w) * (8 + 16 * cl.h) + (_CHUNK + w) * (2 * w + 1) * 16)
+        blocks = max(1, -(-lams.size * per_lam // _BLOCK_BYTES))
+        size = max(1, -(-lams.size // blocks))
+        for start in range(0, lams.size, size):
+            part = slice(start, start + size)
+            passes += _bisect(cl, lams[part], sigma[part], certified[part], nu[part])
+    for i in np.flatnonzero(~certified):
+        sigma[i] = min_singular_value(E, lams[i])
+    return SigmaGrid(sigma, certified, nu, cl.g, passes)
+
+
+def _bisect(cl: _Classes, lams: np.ndarray, sigma: np.ndarray, certified: np.ndarray,
+            nu: np.ndarray) -> int:
+    """Certify one block of lams in place; return the factorizations run."""
+    g = cl.g
+    block = _Block(cl, lams)
+    nu[:] = block.nu
+    lo = np.repeat(math.sqrt(_c_w(cl.w) * _EPS / DELTA) * nu, g)
+    ok = np.repeat((nu > _NU_RANGE[0]) & (nu < _NU_RANGE[1]), g)
+    ok &= _Sweep(block)(lo * lo)
+    passes = 1
+    keep = ok.reshape(-1, g).all(axis=1)
+    if not keep.any():
+        return passes
+    block.keep(keep)
+    lo, hi = lo[np.repeat(keep, g)], block.hi
+    sweep = _Sweep(block)
+    for _ in range(_MAX_PASSES):
+        active = hi > lo * (1 + 2 * DELTA)
+        if not active.any():
+            break
+        s = np.sqrt(lo * hi)
+        good = sweep(s * s)
+        passes += 1
+        lo = np.where(active & good, s, lo)
+        hi = np.where(active & ~good, s, hi)
+    closed = (hi <= lo * (1 + 2 * DELTA)).reshape(-1, g).all(axis=1)
+    idx = np.flatnonzero(keep)[closed]
+    sigma[idx] = np.sqrt(lo * hi).reshape(-1, g).min(axis=1)[closed]
+    certified[idx] = True
+    return passes

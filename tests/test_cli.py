@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bergtoep import cli, cpoly, kernel, spectrum
+from bergtoep import cli, cpoly, finsect, kernel, spectrum
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               to_json, zbar_power_plus)
 
@@ -156,6 +160,54 @@ class TestProbeAndIndex:
         assert rc == 0
         lines = (tmp_path / "probe.csv").read_text().splitlines()
         assert len(lines) == 2 + 16 * 16
+
+    def test_probe_matches_library_and_records_evidence(self, tmp_path, capsys):
+        sym = SpecialFamilySymbol(2, 0.2, 0.0)
+        rc = run(["probe", "--family", "m=2,alpha=0.2,beta=0",
+                  "--grid=-2,2,-2,2,16", "--N", "96", "--out", str(tmp_path)])
+        assert rc == 0
+        xs = np.linspace(-2, 2, 16)
+        lams = [complex(re, im) for im in xs for re in xs]
+        want = finsect.min_singular_values(finsect.truncation(sym, 96), lams)
+        lines = (tmp_path / "probe.csv").read_text().splitlines()
+        assert lines[1] == "lam_re,lam_im,sigma_min,resolved"
+        rows = [line.split(",") for line in lines[2:]]
+        floor = 96 * np.finfo(float).eps * want.nu
+        for row, lam, s, f in zip(rows, lams, want.sigma, floor):
+            assert complex(float(row[0]), float(row[1])) == lam
+            assert row[2] == repr(float(s))
+            assert row[3] == ("1" if s > f else "0")
+        assert {row[3] for row in rows} == {"0", "1"}
+        result = json.loads((tmp_path / "probe_summary.json").read_text())["result"]
+        certified = int(want.certified.sum())
+        assert result["certified"] == certified and result["dense"] == 256 - certified
+        assert 0 < certified < 256
+        assert result["unresolved"] == sum(row[3] == "0" for row in rows)
+        assert result["passes"] == want.passes
+        assert result["delta"] == finsect.DELTA
+        assert result["classes"] == 2
+        assert result["sigma_min"] == float(want.sigma.min())
+        assert capsys.readouterr().out == f"sigma_min over grid: {float(want.sigma.min())!r}\n"
+
+    @pytest.mark.parametrize("N", ["4", "0", "-3"])
+    def test_probe_small_N_rejected(self, capsys, N):
+        with pytest.raises(SystemExit) as exc:
+            run(["probe", "--family", "m=3,alpha=0.5", "--grid=-1,1,-1,1,16", "--N", N])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "N must be at least 12" in err and "Traceback" not in err
+
+    def test_probe_leaves_scipy_unimported(self, tmp_path):
+        code = ("import sys, bergtoep.cli; "
+                "rc = bergtoep.cli.main(['probe', '--family', 'm=1,alpha=0.5', "
+                "'--grid=-2,2,-2,2,16', '--N', '16', '--out', sys.argv[1]]); "
+                "sys.exit(rc or 3 * ('scipy' in sys.modules))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_index_value(self, capsys):
         rc = run(["index", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "0"])

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bergtoep import finsect
-from bergtoep.finsect import (apply_symbol, min_singular_value, truncation,
-                              tstar_zm_check)
-from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus
+from bergtoep.finsect import (apply_symbol, min_singular_value, min_singular_values,
+                              truncation, tstar_zm_check)
+from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, boundary_curve,
+                              zbar_power_plus)
 
 
 class TestApplySymbol:
@@ -110,6 +113,106 @@ class TestMinSingularValue:
         s = recursion_special_family(1, 0.25, 0.0, 0, 200)
         out = apply_symbol(sym, s.coefficients())
         assert np.max(np.abs(out[:190])) <= 1e-10
+
+
+def _corpus_symbol(gen, kind, m, n):
+    def c(scale):
+        return complex(*gen.uniform(-scale, scale, 2))
+    if kind == "family":
+        return SpecialFamilySymbol(m, c(0.8), c(0.3))
+    return HarmonicPolySymbol(m, tuple(c(0.4) for _ in range(m - 1)),
+                              tuple(c(0.6) for _ in range(n + 1)))
+
+
+def _corpus_points(gen, sym):
+    """16^2 padded-box grid, then points on the curve and 1e-6..1e-2 off it."""
+    curve = boundary_curve(sym, 64)
+    re0, re1 = curve.real.min(), curve.real.max()
+    im0, im1 = curve.imag.min(), curve.imag.max()
+    pad = 0.25 * max(re1 - re0, im1 - im0, 0.5)
+    grid = [complex(re, im) for im in np.linspace(im0 - pad, im1 + pad, 16)
+            for re in np.linspace(re0 - pad, re1 + pad, 16)]
+    on = curve[::8]
+    off = [z + eps * np.exp(2j * np.pi * gen.uniform())
+           for z in curve[4::16] for eps in (1e-6, 1e-4, 1e-2)]
+    return np.array(grid + list(on) + off)
+
+
+# (kind, m, n, sizes): every symbol at N=16, three at 64 and one at 128,
+# where one dense reference SVD costs 2-4 ms
+_CORPUS = [("family", 1, 1, (16, 128)), ("family", 2, 2, (16,)),
+           ("family", 3, 3, (16, 64)), ("general", 1, 1, (16,)),
+           ("general", 2, 1, (16, 64)), ("general", 1, 2, (16,)),
+           ("general", 3, 1, (16, 64))]
+
+
+class TestMinSingularValues:
+    @pytest.mark.parametrize("kind,m,n,sizes", _CORPUS)
+    def test_corpus_against_dense_svd(self, kind, m, n, sizes):
+        gen = np.random.default_rng(100 * m + 10 * n + (kind == "family"))
+        sym = _corpus_symbol(gen, kind, m, n)
+        lams = _corpus_points(gen, sym)
+        for N in sizes:
+            T = truncation(sym, N)
+            got = min_singular_values(T, lams)
+            assert got.sigma.shape == got.certified.shape == got.nu.shape == lams.shape
+            assert got.certified.any()
+            for i, lam in enumerate(lams):
+                sv = np.linalg.svd(T.entries - complex(lam) * np.eye(N), compute_uv=False)
+                floor = 1e-10 * sv[0]
+                assert got.nu[i] >= sv[0] * (1 - 1e-14)
+                if not got.certified[i]:
+                    # the threshold is below 1e-2 nu for every band width here
+                    assert got.sigma[i] < 1e-2 * got.nu[i], (N, lam)
+                    assert got.sigma[i] == min_singular_value(T, lam), (N, lam)
+                elif sv[-1] > floor:
+                    assert abs(got.sigma[i] - sv[-1]) <= 1e-8 * sv[-1], (N, lam)
+                else:
+                    assert got.sigma[i] <= floor, (N, lam)
+
+    def test_blocks_do_not_change_a_lane(self, monkeypatch):
+        sym = SpecialFamilySymbol(2, 0.5 + 0.1j, 0.2)
+        T = truncation(sym, 32)
+        lams = _corpus_points(np.random.default_rng(3), sym)[:203]
+        whole = min_singular_values(T, lams)
+        monkeypatch.setattr(finsect, "_BLOCK_BYTES", 50_000)
+        split = min_singular_values(T, lams)
+        assert split.passes > whole.passes
+        assert np.array_equal(split.sigma, whole.sigma)
+        assert np.array_equal(split.certified, whole.certified)
+
+    def test_residue_classes(self):
+        for m in (1, 2, 3):
+            assert min_singular_values(truncation(SpecialFamilySymbol(m, 0.5, 0.1), 24),
+                                       [2.0]).classes == m
+        general = HarmonicPolySymbol(2, (0.3,), (0.1, 0.2))
+        assert min_singular_values(truncation(general, 24), [2.0]).classes == 1
+
+    def test_diagonal_section(self):
+        T = truncation(SpecialFamilySymbol(1, 0.0, 1.0, 0.0), 16)
+        got = min_singular_values(T, [0.0, 1.0, 3.0 + 4.0j])
+        assert got.classes == 16
+        assert got.sigma[0] == pytest.approx(1.0, rel=2e-9)
+        assert got.sigma[1] == min_singular_value(T, 1.0)
+        assert got.sigma[2] == pytest.approx(abs(1 - (3 + 4j)), rel=2e-9)
+
+    def test_overflowing_shift_goes_dense_without_warning(self):
+        T = truncation(SpecialFamilySymbol(1, 0.5, 0.0), 16)
+        lams = [1e200, -1e200, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = min_singular_values(T, lams)
+        assert list(got.certified) == [False, False, True]
+        for i in range(2):
+            assert got.sigma[i] == min_singular_value(T, lams[i])
+
+    def test_exported_from_package(self):
+        import bergtoep
+        assert bergtoep.min_singular_values is min_singular_values
+
+    def test_empty_grid(self):
+        got = min_singular_values(truncation(SpecialFamilySymbol(1, 0.5, 0.0), 16), [])
+        assert got.sigma.size == 0 and got.passes == 0
 
 
 class TestExports:
