@@ -192,9 +192,10 @@ def cmd_kernel(parser, args) -> int:
         "undecided": report.undecided,
         "seed_verdicts": [
             {"status": v.status, "estimated_ratio_modulus": v.estimated_ratio_modulus,
-             "terms_used": v.terms_used, "tail_ratio": v.tail_ratio}
+             "terms_used": v.terms_used, "tail_ratio": v.tail_ratio, "route": v.route}
             for v in report.verdicts
         ],
+        "reason": report.reason,
     }
     if outdir is not None:
         for i, s in enumerate(report.basis):
@@ -206,6 +207,8 @@ def cmd_kernel(parser, args) -> int:
     for i, v in enumerate(report.verdicts):
         rho = "" if v.estimated_ratio_modulus is None else f" rho={v.estimated_ratio_modulus:.6g}"
         print(f"  seed {i}: {v.status}{rho}")
+    if report.reason is not None:
+        print(f"undecided: {report.reason}", file=sys.stderr)
     if report.undecided and args.strict:
         return 1
     return 0
@@ -648,8 +651,8 @@ def main(argv=None) -> int:
     if args.K < 100:
         parser.error("K must be at least 100")
     for tol in (args.tol_ratio, args.tol_curve, args.tol_moduli, args.tol_degeneracy):
-        if tol <= 0:
-            parser.error("tolerances must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            parser.error("tolerances must be positive and finite")
     try:
         return args.fn(parser, args)
     except (spectrum.OnCurveError, spectrum.CurveResolutionError,

@@ -30,18 +30,42 @@ the largest shift + 1 for conj(z)^m + f); the older entries owe the factor,
 and the owed factors are applied in order, with Python's complex-by-float
 rounding, when the stream is finished.  The mantissas are therefore the
 same as if every rescale had rewritten the whole history.
+
+How many terms a verdict needs follows from the zeros, not from the
+stream.  By the Poincare theorem each seed stream behaves like
+k^p rho^k, with rates rho = 1/|z| over the zeros z of phi_0 (|t|^(-1/m)
+over the zeros t of the t-quadratic for the special family).  With
+eps = |1 - rho| for the rate nearest 1 and x = K eps, the terms
+|d_k|^2/(k+1) ~ k^(2p-1) exp(-2 eps k) give the dyadic comparison of
+l2_membership the limit
+
+    R(x) = int_{1/2}^{1} u^(2p-1) e^(-2xu) du / int_{1/4}^{1/2} u^(2p-1) e^(-2xu) du,
+
+which starts at the boundary value 4^p at x = 0 and falls below the
+non-member threshold 1.1 only at x = 1.8 for p = 1 (2.2 for p = 1.24).
+Until then a member stream is reported non_member.  The ratio route has
+the same bias: its estimate rho (1 + p/K) lies on the wrong side of 1
+while x < p.  A verdict is therefore trusted only once K eps reaches
+RESOLUTION.  On the corpus c = 1 +- 10^-j, j = 1..5 (conj(z)^m + c z^n
+with p = m/(m+n) <= 1, and special-family symbols with one t-zero at
+e^0.7i/c and p up to 1.24) the largest K eps with a wrong verdict is
+2.23, and RESOLUTION doubles it, so that K/2 is past it as well.  p grows
+without bound as the two t-zeros of a family symbol approach each other,
+so the constant is a calibration, not a bound; kernel_dimension also asks
+the verdicts at K and K/2 to agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import cpoly as _cp
-from .symbols import HarmonicPolySymbol, SpecialFamilySymbol, associated_poly
+from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
+                      special_to_quadratic, zbar_power_plus)
 
 _BLOCK = 512
 _BLOCK_LIMIT = 1e100
@@ -412,10 +436,20 @@ def closed_form_kernel_czn(m: int, n: int, c: complex, j: int, K: int) -> Coeffi
 
 @dataclass(frozen=True)
 class MembershipVerdict:
+    """One stream's verdict, the route that gave it and the terms it used.
+
+    route is ratio, tail or dyadic for the test of l2_membership that
+    decided (dyadic also when none could); kernel_dimension sets on_circle
+    for a rate on the unit circle, and unresolved, with status undecided,
+    for a stream it cannot resolve within its cap.  terms_used is the index
+    K of the last coefficient read.
+    """
+
     status: str
     estimated_ratio_modulus: Optional[float]
     terms_used: int
     tail_ratio: Optional[float] = None  # dyadic tail-sum comparison, 1.0 is the boundary
+    route: Optional[str] = None
 
 
 _R_CONVERGENT = 0.9
@@ -439,7 +473,7 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
     the harmonic boundary profile at R = 1 left undecided.
     """
     K = len(stream) - 1
-    terms = len(stream)
+    terms = K
     rho = None
 
     # ratio moduli from the exact log magnitudes (mantissa underflow safe)
@@ -454,25 +488,25 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
         if spread < ratio_tol:
             rho = math.exp(float(np.mean(win)) / s)
             if rho < 1.0 - ratio_tol:
-                return MembershipVerdict(MEMBER, rho, terms)
+                return MembershipVerdict(MEMBER, rho, terms, route="ratio")
             if rho > 1.0 + ratio_tol:
-                return MembershipVerdict(NON_MEMBER, rho, terms)
+                return MembershipVerdict(NON_MEMBER, rho, terms, route="ratio")
 
     logS = stream.log_norm_partials
     s_end = logS[-1]
     if not np.isfinite(s_end):
         # identically zero stream
-        return MembershipVerdict(MEMBER, rho, terms)
+        return MembershipVerdict(MEMBER, rho, terms, route="tail")
     s_half = logS[K // 2]
     s_quarter = logS[K // 4]
 
     if np.isfinite(s_half):
         tail_frac = -np.expm1(min(s_half - s_end, 0.0))
         if tail_frac < _TAIL_NEGLIGIBLE:
-            return MembershipVerdict(MEMBER, rho, terms, tail_ratio=0.0)
+            return MembershipVerdict(MEMBER, rho, terms, 0.0, "tail")
     elif np.isneginf(s_half):
         # all mass in the last half: no usable comparison window
-        return MembershipVerdict(UNDECIDED, rho, terms)
+        return MembershipVerdict(UNDECIDED, rho, terms, route="dyadic")
 
     logA = s_end + math.log1p(-math.exp(min(s_half - s_end, -1e-300)))
     if np.isfinite(s_quarter) and s_half > s_quarter:
@@ -480,15 +514,15 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
     elif np.isneginf(s_quarter) and np.isfinite(s_half):
         logB = s_half
     else:
-        return MembershipVerdict(UNDECIDED, rho, terms)
+        return MembershipVerdict(UNDECIDED, rho, terms, route="dyadic")
 
     logR = logA - logB
     R = math.exp(logR) if logR < 700 else math.inf
     if R < _R_CONVERGENT:
-        return MembershipVerdict(MEMBER, rho, terms, tail_ratio=R)
+        return MembershipVerdict(MEMBER, rho, terms, R, "dyadic")
     if R > _R_DIVERGENT:
-        return MembershipVerdict(NON_MEMBER, rho, terms, tail_ratio=R)
-    return MembershipVerdict(UNDECIDED, rho, terms, tail_ratio=R)
+        return MembershipVerdict(NON_MEMBER, rho, terms, R, "dyadic")
+    return MembershipVerdict(UNDECIDED, rho, terms, R, "dyadic")
 
 
 @dataclass(frozen=True)
@@ -497,9 +531,38 @@ class KernelReport:
     undecided: bool
     verdicts: tuple[MembershipVerdict, ...]
     basis: tuple[CoefficientStream, ...]
+    reason: Optional[str] = None  # why the report is undecided
 
 
 KernelInput = Union[HarmonicPolySymbol, SpecialFamilySymbol, tuple]
+
+# A zero whose modulus is within CIRCLE_TOL of 1 is taken to lie on the
+# circle, where the rho = 1 profile decides at any K.  Coefficients such as
+# c = 1 and unimodular c computed in floating point land there; a gap this
+# small could never be resolved anyway (K |1 - rho| >= RESOLUTION would need
+# K >= 4.5e12).
+CIRCLE_TOL = 1e-12
+RESOLUTION = 4.5   # K |1 - rho| a verdict needs; see the module docstring
+K_START = 256      # fewest terms a resolvable verdict is read from
+
+ON_CIRCLE = "on_circle"
+UNRESOLVED = "unresolved"
+
+
+def _unit_seed(m: int, j: int) -> list[complex]:
+    seed = [0j] * m
+    seed[j] = 1.0 + 0j
+    return seed
+
+
+def _prefix(stream: CoefficientStream, K: int) -> CoefficientStream:
+    """d_0..d_K of a longer stream.
+
+    l2_membership reads only the log magnitudes, which each entry records
+    when it is created, so the prefix gets the verdict a run to K gets.
+    """
+    return CoefficientStream(stream.mant[:K + 1], stream.logmag[:K + 1],
+                             stream.log_scale, stream.stride)
 
 
 def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
@@ -510,34 +573,112 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
     member seeds span the kernel; for general coupled symbols the per-seed
     verdicts are generic-direction evidence.  Any undecided seed makes the
     overall dimension undecided (dim None), never a silent 0 or 1.
+
+    K is a cap.  One zero_pattern call on phi_0 (the t-quadratic for the
+    special family) gives the growth rate rho nearest 1 and the index at
+    lambda = 0, and the rule is the same for every symbol kind:
+
+    * resolvable: start at the smallest power of two >= max(K_START,
+      RESOLUTION/|1 - rho|), and double, up to the cap, until every seed's
+      verdict at K equals its verdict at K/2; a seed that still changes at
+      the cap is undecided (route unresolved).  Settled verdicts that count
+      fewer members than the index get one more run, at the cap: a large
+      k^p prefactor (nearly equal zeros) can hold a member stream on the
+      non-member side well past RESOLUTION;
+    * on the circle (a zero within CIRCLE_TOL of it): the rho = 1 profile
+      decides, read at K_START terms (route on_circle);
+    * below resolution (cap |1 - rho| < RESOLUTION): one run at the cap,
+      every seed undecided (route unresolved);
+    * zeros not found: one run at the cap, as l2_membership decides.
+
+    A count below max(index, 0) contradicts dim ker >= index, so the report
+    is then undecided, the seed verdicts unchanged.  Every undecided report
+    carries a reason.
     """
-    streams: list[CoefficientStream] = []
     if isinstance(sym, SpecialFamilySymbol):
         if sym.gamma == 0:
             # analytic symbol alpha z^m + beta: multiplication operator,
             # injective whenever the symbol is not identically zero
             return KernelReport(0, False, (), ())
         norm = sym.normalized()
-        for j in range(norm.m):
-            streams.append(recursion_special_family(norm.m, norm.alpha, norm.beta, j, K))
         m = norm.m
+        poly, per_zero = special_to_quadratic(norm), m   # a zero t is m zeros z = t^(1/m)
+
+        def run(k):
+            return [recursion_special_family(m, norm.alpha, norm.beta, j, k) for j in range(m)]
     elif isinstance(sym, HarmonicPolySymbol):
         m = sym.m
-        for j in range(m):
-            seed = [0j] * m
-            seed[j] = 1.0 + 0j
-            streams.append(recursion_general(sym, seed, K))
+        poly, per_zero = associated_poly(sym).poly, 1
+
+        def run(k):
+            return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]
     else:
         m, f_coeffs = sym
-        for j in range(m):
-            seed = [0j] * m
-            seed[j] = 1.0 + 0j
-            streams.append(recursion_analytic_perturbation(m, f_coeffs, seed, K))
+        poly, per_zero = associated_poly(zbar_power_plus(m, f_coeffs)).poly, 1
 
-    verdicts = tuple(l2_membership(s, ratio_tol, tail_window) for s in streams)
-    if any(v.status == UNDECIDED for v in verdicts):
-        return KernelReport(None, True, verdicts, tuple(streams))
+        def run(k):
+            return [recursion_analytic_perturbation(m, f_coeffs, _unit_seed(m, j), k)
+                    for j in range(m)]
+
+    def judge(streams):
+        return [l2_membership(s, ratio_tol, tail_window) for s in streams]
+
+    try:
+        zp = _cp.zero_pattern(poly, CIRCLE_TOL)
+    except _cp.RootFindingError:
+        streams = run(K)
+        return _count(streams, judge(streams), None)
+    if zp.in_disk is None:
+        streams = run(min(K, K_START))
+        verdicts = [replace(v, route=ON_CIRCLE) for v in judge(streams)]
+        return _count(streams, verdicts, None)
+    index = m - per_zero * zp.in_disk
+    gap = min((abs(1.0 - mu ** (-1.0 / per_zero)) for mu in zp.moduli), default=math.inf)
+    if K * gap < RESOLUTION:
+        streams = run(K)
+        verdicts = [replace(v, status=UNDECIDED, route=UNRESOLVED)
+                    for v in judge(streams)]
+        return _count(streams, verdicts, f"below resolution: K |1 - rho| = {K * gap:.3g}"
+                                         f" < {RESOLUTION} at the cap K = {K}")
+    k = K_START
+    while k * gap < RESOLUTION:
+        k *= 2
+    k = min(k, K)
+    while True:
+        streams = run(k)
+        verdicts = judge(streams)
+        halves = judge([_prefix(s, k // 2) for s in streams])
+        unsettled = [j for j, (v, h) in enumerate(zip(verdicts, halves))
+                     if v.status != h.status]
+        if k == K:
+            break
+        if unsettled:
+            k = min(2 * k, K)
+        elif sum(v.status == MEMBER for v in verdicts) < index:
+            k = K   # a count below the index: look once more, at the cap
+        else:
+            break
+    for j in unsettled:
+        verdicts[j] = replace(verdicts[j], status=UNDECIDED, route=UNRESOLVED)
+    reason = (f"seed verdicts at K = {k // 2} and K = {k} differ at the cap"
+              if unsettled else None)
+    return _count(streams, verdicts, reason, index)
+
+
+def _count(streams: list[CoefficientStream], verdicts: list[MembershipVerdict],
+           reason: Optional[str], index: Optional[int] = None) -> KernelReport:
+    """The report for these seed verdicts, checked against the index."""
+    verdicts = tuple(verdicts)
+    undecided = [j for j, v in enumerate(verdicts) if v.status == UNDECIDED]
+    if undecided:
+        return KernelReport(None, True, verdicts, tuple(streams),
+                            reason or f"seed {undecided[0]} undecided at "
+                                      f"K = {verdicts[undecided[0]].terms_used}")
     members = tuple(s for s, v in zip(streams, verdicts) if v.status == MEMBER)
+    if index is not None and len(members) < index:
+        return KernelReport(None, True, verdicts, tuple(streams),
+                            f"{len(members)} member seeds but index {index}: kernel "
+                            "vectors may combine non-member seeds")
     return KernelReport(len(members), False, verdicts, members)
 
 

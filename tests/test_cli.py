@@ -32,7 +32,25 @@ class TestKernelCommand:
         assert f"kernel dim: {rep.dim}" in out
         summary = json.loads((tmp_path / "kernel_summary.json").read_text())
         assert summary["result"]["dim"] == rep.dim
-        assert (tmp_path / "kernel_basis_seed0.csv").exists()
+        assert summary["result"]["reason"] is None
+        seeds = summary["result"]["seed_verdicts"]
+        assert [(v["route"], v["terms_used"]) for v in seeds] == [
+            (v.route, v.terms_used) for v in rep.verdicts]
+        for i, v in enumerate(rep.verdicts):
+            rows = (tmp_path / f"kernel_basis_seed{i}.csv").read_text().splitlines()
+            assert len(rows) == 1 + v.terms_used + 1   # header, k = 0..terms_used
+
+    def test_undecided_reason_in_summary(self, capsys, tmp_path):
+        rc = run(["kernel", "--symbol", '{"m": 1, "ana": [[0, 0], [0.99995, 0]]}',
+                  "--out", str(tmp_path)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out == "kernel dim: undecided\n  seed 0: undecided\n"
+        assert err.startswith("undecided: below resolution")
+        result = json.loads((tmp_path / "kernel_summary.json").read_text())["result"]
+        assert result["reason"].startswith("below resolution")
+        assert result["seed_verdicts"][0]["route"] == "unresolved"
+        assert result["seed_verdicts"][0]["terms_used"] == 20000
 
     def test_missing_symbol_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -312,6 +330,12 @@ class TestConfigValidation:
         ["spectrum", "--family", "m=1,alpha=0.5", "--lambda", "nan"],
         ["spectrum", "--family", "m=1,alpha=0.5", "--grid=-2,inf,-2,2,16"],
         ["kernel", "--symbol", '{"m": 1, "ana": [[NaN, 0]]}'],
+        ["kernel", "--family", "m=1,alpha=0,beta=0", "--tol-ratio", "nan"],
+        ["spectrum", "--family", "m=1,alpha=0.5", "--lambda", "1", "--tol-curve", "nan"],
+        ["index", "--family", "m=1,alpha=0.5", "--lambda", "0", "--tol-degeneracy", "nan"],
+        ["spectrum", "--symbol", '{"m": 1, "ana": [[0, 0], [0.5, 0]]}', "--lambda", "2",
+         "--tol-moduli", "nan"],
+        ["kernel", "--family", "m=1,alpha=0,beta=0", "--tol-ratio", "inf"],
     ])
     def test_non_finite_input_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bergtoep import finsect, kernel
+from bergtoep import cpoly, finsect, kernel, spectrum
 from bergtoep.kernel import (CoefficientStream, closed_form_kernel_czn,
                              coburn_classify, injectivity_test,
                              kernel_dimension, l2_membership, range_solve,
@@ -169,6 +169,7 @@ class TestMembership:
         s = CoefficientStream.from_coefficients([2.0 ** k for k in range(200)], stride=1)
         v = l2_membership(s)
         assert v.status == kernel.NON_MEMBER
+        assert v.route == "ratio" and v.terms_used == 199
         assert v.estimated_ratio_modulus == pytest.approx(2.0, rel=0.05)
 
     def test_harmonic_boundary_undecided(self):
@@ -188,6 +189,7 @@ class TestMembership:
         d = r**k * (k + 1.0) ** p
         v = l2_membership(CoefficientStream.from_coefficients(d, stride=1))
         assert v.status == want, v
+        assert v.route == ("ratio" if r != 1.0 else "dyadic"), v
 
     def test_ratio_limit_is_dominant_characteristic_root(self):
         # b_{k+m} + beta b_k + alpha (...) b_{k-m} = 0 has characteristic
@@ -247,6 +249,133 @@ class TestKernelDimension:
     def test_undecided_propagates(self):
         rep = kernel.KernelReport(None, True, (), ())
         assert rep.dim is None and rep.undecided
+
+    def test_guard_corpus_dim_at_least_index(self):
+        # 35 of these symbols counted fewer member seeds than the index:
+        # their kernel vectors combine non-member seeds
+        gen = np.random.default_rng(1)
+        guarded = 0
+        for _ in range(400):
+            m = int(gen.integers(1, 4))
+            n = int(gen.integers(1, 4))
+            f = list(gen.normal(size=n + 1) + 1j * gen.normal(size=n + 1))
+            index = spectrum.fredholm_index(zbar_power_plus(m, f), 0)
+            rep = kernel_dimension((m, f), K=4000)
+            if rep.undecided:
+                assert rep.dim is None and rep.reason, (m, f)
+                # only the guard leaves every seed decided
+                guarded += all(v.status != kernel.UNDECIDED for v in rep.verdicts)
+            else:
+                assert rep.dim >= max(index, 0), (m, f, rep.dim, index)
+        assert guarded == 35
+
+
+def _near_boundary_corpus(js):
+    """conj(z)^m + c z^n and a family symbol with one t-zero at e^0.7i/c,
+    c = 1 +- 10^-j, with Coburn's kernel dimension."""
+    for j in js:
+        for sign in (-1, 1):
+            c = 1 + sign * 10.0 ** -j
+            want = lambda m: m if c < 1 else 0
+            for m in (1, 2, 3):
+                for n in range(4):
+                    yield (m, [0j] * n + [c]), want(m)
+                t1, t2 = np.exp(0.7j) / c, 3.0
+                alpha = 1 / (t1 * t2)
+                yield SpecialFamilySymbol(m, alpha, -alpha * (t1 + t2)), want(m)
+
+
+class TestAdaptiveK:
+    @pytest.mark.parametrize("K,js", [(4000, (1, 2, 3, 4, 5)), (20000, (3,))])
+    def test_near_boundary_right_or_undecided(self, K, js):
+        decided = 0
+        for sym, want in _near_boundary_corpus(js):
+            rep = kernel_dimension(sym, K=K)
+            if rep.undecided:
+                assert rep.dim is None and rep.reason, sym
+            else:
+                assert rep.dim == want, (sym, K, rep.dim, rep.verdicts)
+                decided += 1
+        assert decided >= 24
+
+    @pytest.mark.parametrize("c,K", [(0.99995, 20000), (0.999, 1024), (0.995, 256)])
+    def test_fixed_K_repros_right_or_undecided(self, c, K):
+        rep = kernel_dimension((1, [0, c]), K=K)
+        assert rep.dim in (1, None)
+        assert rep.undecided == (rep.dim is None)
+        if rep.undecided:
+            assert rep.reason.startswith("below resolution")
+            assert [v.route for v in rep.verdicts] == [kernel.UNRESOLVED]
+
+    @pytest.mark.parametrize("m,n", [(1, 0), (2, 1), (3, 3)])
+    def test_resolvable_symbol_stops_early(self, m, n):
+        rep = kernel_dimension((m, [0j] * n + [0.5 * np.exp(1j)]))
+        assert rep.dim == m
+        assert all(v.terms_used <= 1024 for v in rep.verdicts)
+        assert all(len(s) == v.terms_used + 1 for s, v in zip(rep.basis, rep.verdicts))
+
+    def test_start_K_grows_with_one_over_gap(self):
+        # rho = 0.99^(1/3): RESOLUTION / |1 - rho| = 1347, so the first run
+        # is 2048 terms and its half already agrees
+        rep = kernel_dimension((3, [0.99]))
+        assert rep.dim == 3
+        assert [v.terms_used for v in rep.verdicts] == [2048] * 3
+
+    def test_on_circle_decides_at_start(self):
+        for sym in ((2, [0, 1.0]), (1, [0, 0, np.exp(0.3j)]), SpecialFamilySymbol(1, 0.0, -1.0)):
+            rep = kernel_dimension(sym)
+            assert rep.dim == 0 and rep.reason is None
+            assert {(v.status, v.route, v.terms_used) for v in rep.verdicts} == {
+                (kernel.NON_MEMBER, kernel.ON_CIRCLE, kernel.K_START)}
+
+    def test_count_below_index_looks_again_at_the_cap(self):
+        # t-zeros e^0.7i/c and r e^0.7i, both outside the disk: index m.
+        # The k^p prefactor is large (p from about 4 to 12), so the seeds read
+        # non_member at K and K/2 early on; the count below the index
+        # sends the last run to the cap, where they are members
+        def family(c, r, m):
+            t1, t2 = np.exp(0.7j) / c, r * np.exp(0.7j)
+            alpha = 1 / (t1 * t2)
+            return SpecialFamilySymbol(m, alpha, -alpha * (t1 + t2))
+        rep = kernel_dimension(family(0.98, 1.2, 1))
+        assert rep.dim == 1
+        assert rep.verdicts[0].terms_used == 20000
+        rep = kernel_dimension(family(0.99, 1.1, 2), K=1000)
+        assert rep.dim is None and rep.reason.startswith("0 member seeds but index 2")
+        assert [v.status for v in rep.verdicts] == [kernel.NON_MEMBER] * 2
+        rep = kernel_dimension(family(0.99, 1.3, 1), K=1000)
+        assert rep.dim is None
+        assert rep.reason == "seed verdicts at K = 500 and K = 1000 differ at the cap"
+        assert [(v.status, v.route) for v in rep.verdicts] == [
+            (kernel.UNDECIDED, kernel.UNRESOLVED)]
+
+    def test_root_failure_runs_to_cap(self, monkeypatch):
+        def fail(*args):
+            raise cpoly.RootFindingError("no roots")
+        monkeypatch.setattr(kernel._cp, "zero_pattern", fail)
+        rep = kernel_dimension((2, [0, 0.5]), K=3000)
+        assert rep.dim == 2
+        assert [v.terms_used for v in rep.verdicts] == [3000, 3000]
+
+    def test_below_cap_start_is_the_cap(self):
+        rep = kernel_dimension((1, [0, 0.5]), K=150)
+        assert rep.dim == 1 and rep.verdicts[0].terms_used == 150
+
+    @pytest.mark.parametrize("run", [
+        lambda K: recursion_analytic_perturbation(2, [0, 3.0], [0, 1.0], K),
+        lambda K: recursion_general(HarmonicPolySymbol(2, (0.4 - 0.2j,), (0.5, 1.5)),
+                                    [1.0, 0j], K),
+        lambda K: recursion_special_family(2, 0.3, 2.5, 1, K),
+        lambda K: recursion_special_family(1, 0.25, 0.1, 0, K),
+    ])
+    def test_prefix_verdict_equals_shorter_run(self, run):
+        # the K/2 verdict is read from the K run: its log magnitudes, all
+        # l2_membership reads, equal those of a run to K/2 bit for bit,
+        # rescales included
+        long, short = run(4000), run(2000)
+        head = kernel._prefix(long, 2000)
+        assert np.array_equal(head.logmag, short.logmag)
+        assert l2_membership(head) == l2_membership(short)
 
 
 class TestCoburn:
