@@ -14,8 +14,7 @@ from .finsect import (SigmaGrid, ToeplitzTruncation, apply_symbol, min_singular_
 from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,
                      MembershipVerdict, closed_form_kernel_czn,
                      coburn_classify, injectivity_test, kernel_dimension,
-                     l2_membership, range_solve,
-                     recursion_analytic_perturbation, recursion_general,
+                     l2_membership, recursion_general,
                      recursion_special_family)
 from .odekernel import OdeKernelBasis, residual_check, taylor_coefficients
 from .spectrum import (InvertibilityReport, RegionVerdict, SpectrumVerdict,

@@ -184,6 +184,8 @@ def _write_gj_samples(outdir: Path, sym: SpecialFamilySymbol, config: dict) -> N
 
 def cmd_kernel(parser, args) -> int:
     sym = _require_symbol(parser, args)
+    if args.K < sym.m:
+        parser.error(f"K must be at least m = {sym.m}")
     config = {"symbol": symbols.to_json(sym), "K": args.K, "strict": args.strict}
     report = kernel.kernel_dimension(sym, K=args.K, ratio_tol=args.tol_ratio)
     outdir = _outdir(args)
@@ -442,7 +444,7 @@ def _check_recursion_vs_closed_form(rng, trials):
         K = 120
         f = [0j] * (n + 1)
         f[n] = c
-        a = kernel.recursion_analytic_perturbation(m, f, seed, K)
+        a = kernel.recursion_general(symbols.zbar_power_plus(m, f), seed, K)
         b = kernel.closed_form_kernel_czn(m, n, c, j, K)
         diff = float(np.max(np.abs(a.coefficients() - b.coefficients())))
         scale = float(np.max(np.abs(b.coefficients()))) or 1.0

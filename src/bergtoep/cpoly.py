@@ -95,12 +95,6 @@ def eval_poly_many(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def derivative(p: CPoly) -> CPoly:
-    if p.degree == 0:
-        return CPoly.make([0j])
-    return CPoly.make([k * c for k, c in enumerate(p.coeffs)][1:])
-
-
 def _spread(desc: np.ndarray) -> np.ndarray:
     # coefficient j of each row of desc (highest power first), repeated over
     # the row's n points: (n + 1, rows, n), so that Horner's rule adds arrays
@@ -434,11 +428,3 @@ def distinct_moduli(root_list: Sequence[complex], rel_tol: float = 1e-6) -> bool
         return len(mods) == 1
     return all(b - a > rel_tol * top for a, b in zip(mods, mods[1:]))
 
-
-def to_json_coeffs(p: CPoly) -> list[list[float]]:
-    """JSON form: array of [re, im] pairs, ascending powers."""
-    return [[c.real, c.imag] for c in p.coeffs]
-
-
-def from_json_coeffs(data: Sequence[Sequence[float]]) -> CPoly:
-    return CPoly.make([complex(re, im) for re, im in data])

@@ -125,10 +125,6 @@ class ToeplitzTruncation:
                     v = self.entries[r, c]
                     fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
 
-    def to_binary(self, path) -> None:
-        """Row-major complex doubles, little-endian."""
-        np.ascontiguousarray(self.entries).astype("<c16").tofile(path)
-
 
 def bandwidth(sym: Symbol) -> int:
     """Largest anti-analytic shift plus largest analytic shift of the symbol."""

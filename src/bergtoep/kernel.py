@@ -1,20 +1,21 @@
-"""Kernel and range computations for T_phi via coefficient recursions.
+"""Kernel computations for T_phi via coefficient recursions.
 
 Writing a candidate kernel element as g = sum d_k z^k, the equation
 T_phi g = 0 becomes an explicit linear recursion on the Taylor
-coefficients.  For phi = conj(z)^m + f with f = sum a_k z^k:
-
-    d_{m+k} = -((m+1+k)/(k+1)) * sum_{i=0}^{k} a_{k-i} d_i,    k >= 0,
-
-with the seed block d_0..d_{m-1} free.  For a general monic-q symbol the
-same elimination gives
+coefficients.  For a monic-q symbol with p = sum a_k z^k it reads
 
     (k+1)/(m+k+1) d_{m+k}
         + sum_{i=1}^{m-1} anti_i (k+1)/(m-i+k+1) d_{m-i+k}
         + sum_{i=0}^{n} a_i d_{k-i} = 0,
 
-(d_j = 0 for j < 0).  Membership of the resulting power series in the
-Bergman space is decided from the asymptotics of the recursion: the
+(d_j = 0 for j < 0), with the seed block d_0..d_{m-1} free.  For
+phi = conj(z)^m + f (q = z^m, every anti_i zero) it is
+
+    d_{m+k} = -((m+1+k)/(k+1)) * sum_{i=0}^{k} a_{k-i} d_i,    k >= 0,
+
+and kernel_dimension takes (m, f) as shorthand for zbar_power_plus(m, f),
+so one recursion serves both.  Membership of the resulting power series
+in the Bergman space is decided from the asymptotics of the recursion: the
 coefficient functions converge, so consecutive-term ratios stabilize at a
 characteristic root (the reciprocals of the associated-polynomial zeros),
 and geometric growth or decay of |d_k| is the observable that separates
@@ -25,11 +26,12 @@ Growth can exceed the double range long before K = 20000, so streams are
 generated with block renormalization: stored values are mantissas with a
 shared log scale, and true log magnitudes follow from the moduli and the
 scale in force when each entry was created.  A rescale multiplies only the
-recursion's lookback window (m + n + 1 entries for a general symbol, m +
-the largest shift + 1 for conj(z)^m + f); the older entries owe the factor,
-and the owed factors are applied in order, with Python's complex-by-float
-rounding, when the stream is finished.  The mantissas are therefore the
-same as if every rescale had rewritten the whole history.
+recursion's lookback window, its last m + n + 1 entries; the older entries
+owe the factor, and the owed factors are applied in order, with Python's
+complex-by-float rounding, when the stream is finished.  The mantissas are
+therefore the same as if every rescale had rewritten the whole history.
+A product past the double range makes the stream non-finite, and
+l2_membership then answers undecided rather than read it.
 
 How many terms a verdict needs follows from the zeros, not from the
 stream.  By the Poincare theorem each seed stream behaves like
@@ -57,6 +59,7 @@ the verdicts at K and K/2 to agree.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -110,7 +113,8 @@ class CoefficientStream:
         if self._log_norm is None:
             k = np.arange(len(self.mant), dtype=float)
             terms = 2.0 * self.logmag - np.log(k + 1.0)
-            self._log_norm = np.logaddexp.accumulate(terms)
+            with np.errstate(invalid="ignore"):   # an overflowed stream's NaN carries on
+                self._log_norm = np.logaddexp.accumulate(terms)
         return self._log_norm
 
     @property
@@ -139,14 +143,16 @@ class CoefficientStream:
                           for k, (v, p) in enumerate(rows))
 
 
-def _log_moduli(mods: np.ndarray, scales: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """log(mod) + scale where ``nonzero``, -inf elsewhere.
+def _log_moduli(mods: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """log(mod) + scale where mod is nonzero, -inf where it is zero.
 
     Each entry is ``math.log(mod) + scale``, the value a per-term
     ``math.log`` call gives; numpy's vectorized log may round differently.
+    A NaN or infinite modulus (an overflowed product) stays NaN or inf, so
+    it never reads as a zero entry.
     """
     out = np.full(len(mods), -np.inf)
-    idx = np.flatnonzero(nonzero)
+    idx = np.flatnonzero(mods != 0.0)
     logs = np.fromiter(map(math.log, mods[idx].tolist()), dtype=float, count=len(idx))
     out[idx] = logs + scales[idx]
     return out
@@ -175,70 +181,6 @@ def _apply_owed(mant: np.ndarray, owed: Sequence[tuple[int, float]]) -> None:
                 # re*f - im*0.0 and re*0.0 + im*f, operands in CPython's order
                 r -= i0
                 np.add(r0, i, out=i)
-
-
-class _StreamBuilder:
-    """Appends coefficients with overflow-safe block renormalization.
-
-    A rescale multiplies only the trailing ``window`` entries, the lookback
-    the recursion still reads.  Older entries owe the factor: each rescale
-    records (cut, factor), and ``finish`` applies the owed factors to the
-    entries below each cut in the order they were recorded, so every
-    mantissa is rounded exactly as if the whole history had been rescaled
-    each time.  Moduli are recorded at creation and turned into log
-    magnitudes, with the scale in force at creation, by ``finish``.
-
-    Hot loops may append to ``vals`` and ``mods`` directly and track the
-    block state (``since``, ``blockmax``) in locals, calling ``rescale``
-    when ``append`` would have.
-    """
-
-    def __init__(self, stride: int, window: int):
-        self.vals: list[complex] = []
-        self.mods: list[float] = []
-        self.scale = 0.0
-        self.stride = stride
-        self.window = window
-        self.since = 0
-        self.blockmax = 0.0
-        self._owed: list[tuple[int, float]] = []
-        self._scale_from: list[tuple[int, float]] = [(0, 0.0)]
-
-    def append(self, v: complex) -> None:
-        v = complex(v)
-        a = abs(v)
-        self.vals.append(v)
-        self.mods.append(a)
-        if a > self.blockmax:
-            self.blockmax = a
-        self.since += 1
-        if a > _HARD_LIMIT or (self.since >= _BLOCK and self.blockmax > _BLOCK_LIMIT):
-            self.rescale(self.blockmax)
-            self.blockmax = 1.0
-            self.since = 0
-        elif self.since >= _BLOCK:
-            self.since = 0
-
-    def rescale(self, blockmax: float) -> None:
-        """Divide the stream by blockmax: the window now, older entries at finish."""
-        shift = math.log(blockmax)
-        f = math.exp(-shift)
-        vals = self.vals
-        cut = max(len(vals) - self.window, 0)
-        vals[cut:] = [x * f for x in vals[cut:]]
-        if cut:
-            self._owed.append((cut, f))
-        self.scale += shift
-        self._scale_from.append((len(vals), self.scale))
-
-    def finish(self) -> CoefficientStream:
-        mant = np.array(self.vals, dtype=complex)
-        _apply_owed(mant, self._owed)
-        starts, scales = zip(*self._scale_from)
-        counts = np.diff(starts + (len(mant),))
-        mods = np.array(self.mods, dtype=float)
-        logmag = _log_moduli(mods, np.repeat(scales, counts), mods > 0.0)
-        return CoefficientStream(mant, logmag, self.scale, self.stride)
 
 
 class _ScaledScatter:
@@ -286,58 +228,46 @@ class _ScaledScatter:
         mant[self.pos] = emitted
         mods = np.array(self.mods, dtype=float)
         logmag = np.full(self.K + 1, -np.inf)
-        logmag[self.pos] = _log_moduli(mods, np.array(self.vscales, dtype=float), mods != 0.0)
+        logmag[self.pos] = _log_moduli(mods, np.array(self.vscales, dtype=float))
         return CoefficientStream(mant, logmag, self.scale, self.stride)
-
-
-def recursion_analytic_perturbation(m: int, f_coeffs: Sequence[complex],
-                                    seed: Sequence[complex], K: int) -> CoefficientStream:
-    """Kernel recursion for conj(z)^m + f from the seed block d_0..d_{m-1}."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if len(seed) != m:
-        raise ValueError(f"seed must have length m = {m}")
-    if K < m:
-        raise ValueError("K must be at least m")
-    pairs = [(i, complex(a)) for i, a in enumerate(f_coeffs) if a != 0]
-    b = _StreamBuilder(stride=m, window=m + max((i for i, _ in pairs), default=0) + 1)
-    vals = b.vals
-    for v in seed:
-        b.append(v)
-    for k in range(K - m + 1):
-        s = 0j
-        for i, a in pairs:
-            if i <= k:
-                s += a * vals[k - i]
-        b.append(-((m + 1 + k) / (k + 1)) * s)
-    return b.finish()
 
 
 def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
                       K: int) -> CoefficientStream:
-    """Kernel recursion for a general monic-q harmonic symbol."""
+    """Kernel recursion for a monic-q harmonic symbol from the seed d_0..d_{m-1}.
+
+    zbar_power_plus(m, f) gives the recursion for conj(z)^m + f.  The seed
+    must be finite.
+    """
     m, n = sym.m, sym.n
     if len(seed) != m:
         raise ValueError(f"seed must have length m = {m}")
     if K < m:
         raise ValueError("K must be at least m")
+    seed = [complex(v) for v in seed]
+    if not all(map(cmath.isfinite, seed)):
+        raise ValueError("seed must be finite")
     anti = [(m - i, complex(c)) for i, c in enumerate(sym.anti, start=1) if c != 0]
     ana = [(i, complex(a)) for i, a in enumerate(sym.ana) if a != 0]
-    b = _StreamBuilder(stride=m, window=m + n + 1)
-    for v in seed:
-        b.append(v)
-    # _StreamBuilder.append, inlined: the builder only sees the rare rescale
-    vals, mods = b.vals, b.mods
-    since, blockmax = b.since, b.blockmax
-    for k in range(K - m + 1):
-        s = 0j
-        for off, c in anti:
-            s += c * vals[off + k] / (off + k + 1)
-        t = 0j
-        for i, a in ana:
-            if i <= k:
-                t += a * vals[k - i]
-        v = -(m + k + 1) * (s + t / (k + 1))
+    window = m + n + 1                  # the lookback the recursion reads
+    vals: list[complex] = []
+    mods: list[float] = []              # moduli at creation, for the log magnitudes
+    owed: list[tuple[int, float]] = []  # (cut, factor): entries below cut owe factor
+    scale_from = [(0, 0.0)]             # (first index, log scale in force)
+    scale, since, blockmax = 0.0, 0, 0.0
+    # k = -m..-1 places the seed (seed[k] is d_{m+k}), k >= 0 computes d_{m+k}
+    for k in range(-m, K - m + 1):
+        if k < 0:
+            v = seed[k]
+        else:
+            s = 0j
+            for off, c in anti:
+                s += c * vals[off + k] / (off + k + 1)
+            t = 0j
+            for i, a in ana:
+                if i <= k:
+                    t += a * vals[k - i]
+            v = -(m + k + 1) * (s + t / (k + 1))
         mod = abs(v)
         vals.append(v)
         mods.append(mod)
@@ -345,12 +275,25 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
             blockmax = mod
         since += 1
         if mod > _HARD_LIMIT or (since >= _BLOCK and blockmax > _BLOCK_LIMIT):
-            b.rescale(blockmax)
+            # divide by blockmax: the window now, older entries when finished
+            shift = math.log(blockmax)
+            f = math.exp(-shift)
+            cut = max(len(vals) - window, 0)
+            vals[cut:] = [x * f for x in vals[cut:]]
+            if cut:
+                owed.append((cut, f))
+            scale += shift
+            scale_from.append((len(vals), scale))
             blockmax = 1.0
             since = 0
         elif since >= _BLOCK:
             since = 0
-    return b.finish()
+    mant = np.array(vals, dtype=complex)
+    _apply_owed(mant, owed)
+    starts, scales = zip(*scale_from)
+    counts = np.diff(starts + (len(mant),))
+    logmag = _log_moduli(np.array(mods, dtype=float), np.repeat(scales, counts))
+    return CoefficientStream(mant, logmag, scale, m)
 
 
 def recursion_special_family(m: int, alpha: complex, beta: complex,
@@ -439,10 +382,11 @@ class MembershipVerdict:
     """One stream's verdict, the route that gave it and the terms it used.
 
     route is ratio, tail or dyadic for the test of l2_membership that
-    decided (dyadic also when none could); kernel_dimension sets on_circle
-    for a rate on the unit circle, and unresolved, with status undecided,
-    for a stream it cannot resolve within its cap.  terms_used is the index
-    K of the last coefficient read.
+    decided (dyadic also when none could), and non_finite, with status
+    undecided, for a stream that holds a NaN or infinite entry;
+    kernel_dimension sets on_circle for a rate on the unit circle, and
+    unresolved, with status undecided, for a stream it cannot resolve
+    within its cap.  terms_used is the index K of the last coefficient read.
     """
 
     status: str
@@ -451,6 +395,8 @@ class MembershipVerdict:
     tail_ratio: Optional[float] = None  # dyadic tail-sum comparison, 1.0 is the boundary
     route: Optional[str] = None
 
+
+NON_FINITE = "non_finite"
 
 _R_CONVERGENT = 0.9
 _R_DIVERGENT = 1.1
@@ -470,15 +416,18 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
         R = (S_K - S_{K/2}) / (S_{K/2} - S_{K/4})
 
     separates convergent tails (R < 1) from divergent ones (R > 1), with
-    the harmonic boundary profile at R = 1 left undecided.
+    the harmonic boundary profile at R = 1 left undecided.  A stream with a
+    NaN or infinite entry (an overflowed product) is undecided.
     """
     K = len(stream) - 1
     terms = K
     rho = None
+    lm = stream.logmag
+    if not lm.max() < math.inf:   # NaN or +inf: -inf entries are zeros
+        return MembershipVerdict(UNDECIDED, rho, terms, route=NON_FINITE)
 
     # ratio moduli from the exact log magnitudes (mantissa underflow safe)
     s = stream.stride
-    lm = stream.logmag
     with np.errstate(invalid="ignore"):
         dl = lm[s:] - lm[:-s]
     ks = np.nonzero(np.isfinite(dl))[0]
@@ -494,7 +443,7 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
 
     logS = stream.log_norm_partials
     s_end = logS[-1]
-    if not np.isfinite(s_end):
+    if np.isneginf(s_end):
         # identically zero stream
         return MembershipVerdict(MEMBER, rho, terms, route="tail")
     s_half = logS[K // 2]
@@ -592,9 +541,14 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
     * zeros not found: one run at the cap, as l2_membership decides.
 
     A count below max(index, 0) contradicts dim ker >= index, so the report
-    is then undecided, the seed verdicts unchanged.  Every undecided report
-    carries a reason.
+    is then undecided, the seed verdicts unchanged.  A seed stream that
+    overflows (route non_finite) makes the report undecided at once.  Every
+    undecided report carries a reason.
+
+    A tuple (m, f) is shorthand for zbar_power_plus(m, f).
     """
+    if not isinstance(sym, (HarmonicPolySymbol, SpecialFamilySymbol)):
+        sym = zbar_power_plus(*sym)
     if isinstance(sym, SpecialFamilySymbol):
         if sym.gamma == 0:
             # analytic symbol alpha z^m + beta: multiplication operator,
@@ -606,19 +560,12 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
 
         def run(k):
             return [recursion_special_family(m, norm.alpha, norm.beta, j, k) for j in range(m)]
-    elif isinstance(sym, HarmonicPolySymbol):
+    else:
         m = sym.m
         poly, per_zero = associated_poly(sym).poly, 1
 
         def run(k):
             return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]
-    else:
-        m, f_coeffs = sym
-        poly, per_zero = associated_poly(zbar_power_plus(m, f_coeffs)).poly, 1
-
-        def run(k):
-            return [recursion_analytic_perturbation(m, f_coeffs, _unit_seed(m, j), k)
-                    for j in range(m)]
 
     def judge(streams):
         return [l2_membership(s, ratio_tol, tail_window) for s in streams]
@@ -630,14 +577,12 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
         return _count(streams, judge(streams), None)
     if zp.in_disk is None:
         streams = run(min(K, K_START))
-        verdicts = [replace(v, route=ON_CIRCLE) for v in judge(streams)]
-        return _count(streams, verdicts, None)
+        return _count(streams, _override(judge(streams), route=ON_CIRCLE), None)
     index = m - per_zero * zp.in_disk
     gap = min((abs(1.0 - mu ** (-1.0 / per_zero)) for mu in zp.moduli), default=math.inf)
     if K * gap < RESOLUTION:
         streams = run(K)
-        verdicts = [replace(v, status=UNDECIDED, route=UNRESOLVED)
-                    for v in judge(streams)]
+        verdicts = _override(judge(streams), status=UNDECIDED, route=UNRESOLVED)
         return _count(streams, verdicts, f"below resolution: K |1 - rho| = {K * gap:.3g}"
                                          f" < {RESOLUTION} at the cap K = {K}")
     k = K_START
@@ -647,6 +592,8 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
     while True:
         streams = run(k)
         verdicts = judge(streams)
+        if any(v.route == NON_FINITE for v in verdicts):
+            return _count(streams, verdicts, None)   # a longer run overflows too
         halves = judge([_prefix(s, k // 2) for s in streams])
         unsettled = [j for j, (v, h) in enumerate(zip(verdicts, halves))
                      if v.status != h.status]
@@ -665,10 +612,21 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
     return _count(streams, verdicts, reason, index)
 
 
+def _override(verdicts: list[MembershipVerdict], **changes) -> list[MembershipVerdict]:
+    """The verdicts with these fields replaced, except those of overflowed streams."""
+    return [v if v.route == NON_FINITE else replace(v, **changes) for v in verdicts]
+
+
 def _count(streams: list[CoefficientStream], verdicts: list[MembershipVerdict],
            reason: Optional[str], index: Optional[int] = None) -> KernelReport:
     """The report for these seed verdicts, checked against the index."""
     verdicts = tuple(verdicts)
+    overflowed = [j for j, v in enumerate(verdicts) if v.route == NON_FINITE]
+    if overflowed:
+        j = overflowed[0]
+        k = int(np.argmax(~(streams[j].logmag < math.inf)))
+        reason = (f"seed {j} stream is not finite from k = {k}: the recursion "
+                  "overflowed the double range")
     undecided = [j for j, v in enumerate(verdicts) if v.status == UNDECIDED]
     if undecided:
         return KernelReport(None, True, verdicts, tuple(streams),
@@ -703,33 +661,6 @@ def coburn_classify(m: int, n: int, c: complex) -> CoburnVerdict:
     if abs(c) < 1:
         return CoburnVerdict(m, 0)
     return CoburnVerdict(0, n)
-
-
-def range_solve(m: int, f_coeffs: Sequence[complex], h_coeffs: Sequence[complex],
-                seed: Sequence[complex]) -> CoefficientStream:
-    """Formal solution of T_{conj(z)^m + f} g = h given the free seed block.
-
-        d_{m+k} = ((m+k+1)/(k+1)) (c_k - sum_{i=0}^{k} a_{k-i} d_i)
-
-    With h = 0 this reproduces the kernel recursion.
-    """
-    if len(seed) != m:
-        raise ValueError(f"seed must have length m = {m}")
-    pairs = [(i, complex(a)) for i, a in enumerate(f_coeffs) if a != 0]
-    h = [complex(c) for c in h_coeffs]
-    b = _StreamBuilder(stride=m, window=m + max((i for i, _ in pairs), default=0) + 1)
-    vals = b.vals
-    for v in seed:
-        b.append(v)
-    for k in range(len(h)):
-        s = 0j
-        for i, a in pairs:
-            if i <= k:
-                s += a * vals[k - i]
-        # h lives at true scale; bring it to the builder's mantissa scale
-        hk = h[k] if b.scale == 0.0 else h[k] * math.exp(-min(b.scale, 745.0))
-        b.append(((m + k + 1) / (k + 1)) * (hk - s))
-    return b.finish()
 
 
 TRIVIAL_KERNEL_CERTIFIED = "trivial_kernel_certified"

@@ -52,6 +52,20 @@ class TestKernelCommand:
         assert result["seed_verdicts"][0]["route"] == "unresolved"
         assert result["seed_verdicts"][0]["terms_used"] == 20000
 
+    def test_overflowed_stream_undecided(self, capsys, tmp_path):
+        # d_1 = -2e308 overflows; Coburn's table (m = 1, n = 0, |c| >= 1)
+        # gives 0, so the overflowed stream must not read as a member
+        rc = run(["kernel", "--symbol", '{"m": 1, "ana": [[1e308, 0]]}',
+                  "--out", str(tmp_path)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out == "kernel dim: undecided\n  seed 0: undecided\n"
+        assert err.startswith("undecided: seed 0 stream is not finite")
+        result = json.loads((tmp_path / "kernel_summary.json").read_text())["result"]
+        assert result["dim"] is None and result["undecided"]
+        assert result["reason"].startswith("seed 0 stream is not finite")
+        assert result["seed_verdicts"][0]["route"] == kernel.NON_FINITE
+
     def test_missing_symbol_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["kernel"])
@@ -347,6 +361,18 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as exc:
             run(["kernel", "--family", "m=1,alpha=0,beta=0", "--K", "10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("symbol", [
+        ["--family", "m=150,alpha=0.5,beta=0"],
+        ["--symbol", json.dumps({"m": 150, "anti": [[0, 0]] * 149})],
+    ])
+    def test_K_below_m_rejected(self, capsys, symbol):
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", *symbol, "--K", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: K must be at least m = 150\n")
+        assert "Traceback" not in err
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(SystemExit) as exc:

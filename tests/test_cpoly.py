@@ -244,14 +244,6 @@ class TestZeroPattern:
         assert v.region == spectrum.OMEGA0 and v.root_moduli == (np.inf, np.inf)
 
 
-def test_json_roundtrip():
-    p = CPoly.make([1 + 2j, 0, -3j])
-    data = cpoly.to_json_coeffs(p)
-    assert data == [[1.0, 2.0], [0.0, 0.0], [-0.0, -3.0]] or data[2][1] == -3.0
-    q = cpoly.from_json_coeffs(data)
-    assert q == p
-
-
 def gaussian_corpus():
     # the seed-7 corpus of test_gaussian_corpus_accepted_on_backward_error
     gen = np.random.default_rng(7)

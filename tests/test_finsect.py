@@ -222,6 +222,3 @@ class TestExports:
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) == 17
-        T.to_binary(tmp_path / "t.bin")
-        raw = np.fromfile(tmp_path / "t.bin", dtype="<c16").reshape(4, 4)
-        assert np.array_equal(raw, T.entries)

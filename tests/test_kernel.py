@@ -6,8 +6,7 @@ import pytest
 from bergtoep import cpoly, finsect, kernel, spectrum
 from bergtoep.kernel import (CoefficientStream, closed_form_kernel_czn,
                              coburn_classify, injectivity_test,
-                             kernel_dimension, l2_membership, range_solve,
-                             recursion_analytic_perturbation,
+                             kernel_dimension, l2_membership,
                              recursion_general, recursion_special_family)
 from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus
 
@@ -21,18 +20,18 @@ def unit_seed(m, j):
 class TestAnalyticPerturbationRecursion:
     def test_constant_perturbation_closed_form(self):
         c = 0.3 - 0.4j
-        s = recursion_analytic_perturbation(1, [c], [1.0], 60)
+        s = recursion_general(zbar_power_plus(1, [c]), [1.0], 60)
         want = np.array([(k + 1) * (-c) ** k for k in range(61)])
         assert np.allclose(s.coefficients(), want, rtol=1e-12, atol=0)
 
     def test_pure_antianalytic_seed_survives(self):
-        s = recursion_analytic_perturbation(2, [], [1.0, 1.0], 40)
+        s = recursion_general(zbar_power_plus(2, []), [1.0, 1.0], 40)
         d = s.coefficients()
         assert d[0] == 1 and d[1] == 1
         assert np.all(d[2:] == 0)
 
     def test_linear_perturbation_values(self):
-        s = recursion_analytic_perturbation(1, [0, 1], [1.0], 10)
+        s = recursion_general(zbar_power_plus(1, [0, 1]), [1.0], 10)
         d = s.coefficients()
         assert d[2] == pytest.approx(-1.5)
         assert d[4] == pytest.approx(15 / 8)
@@ -40,7 +39,7 @@ class TestAnalyticPerturbationRecursion:
 
     def test_seed_length_checked(self):
         with pytest.raises(ValueError):
-            recursion_analytic_perturbation(2, [], [1.0], 40)
+            recursion_general(zbar_power_plus(2, []), [1.0], 40)
 
 
 class TestGeneralRecursion:
@@ -57,17 +56,10 @@ class TestGeneralRecursion:
         assert np.all(s.coefficients() == 0)
         assert l2_membership(s).status == kernel.MEMBER
 
-    def test_matches_analytic_perturbation(self):
-        gen = np.random.default_rng(5)
-        for _ in range(20):
-            m = int(gen.integers(1, 4))
-            n = int(gen.integers(0, 4))
-            f = [complex(*gen.uniform(-1, 1, 2)) for _ in range(n + 1)]
-            sym = zbar_power_plus(m, f)
-            seed = [complex(*gen.uniform(-1, 1, 2)) for _ in range(m)]
-            a = recursion_general(sym, seed, 80).coefficients()
-            b = recursion_analytic_perturbation(m, f, seed, 80).coefficients()
-            assert np.allclose(a, b, rtol=0, atol=1e-13 * max(1, np.max(np.abs(b))))
+    @pytest.mark.parametrize("seed", [[math.nan, 0j], [0j, complex(math.inf, 0)]])
+    def test_non_finite_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be finite"):
+            recursion_general(HarmonicPolySymbol(2, (0.3j,), (0.1, 0.2)), seed, 50)
 
     def test_linearity(self):
         gen = np.random.default_rng(9)
@@ -147,7 +139,7 @@ class TestClosedForm:
                     for j in range(m):
                         f = [0j] * (n + 1)
                         f[n] = c
-                        a = recursion_analytic_perturbation(m, f, unit_seed(m, j), 100)
+                        a = recursion_general(zbar_power_plus(m, f), unit_seed(m, j), 100)
                         b = closed_form_kernel_czn(m, n, c, j, 100)
                         da, db = a.coefficients(), b.coefficients()
                         scale = max(1.0, float(np.max(np.abs(db))))
@@ -171,6 +163,13 @@ class TestMembership:
         assert v.status == kernel.NON_MEMBER
         assert v.route == "ratio" and v.terms_used == 199
         assert v.estimated_ratio_modulus == pytest.approx(2.0, rel=0.05)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_undecided(self, bad):
+        # zeros after the bad entry must not read as an identically zero tail
+        s = CoefficientStream.from_coefficients([1.0, bad] + [0.0] * 100, stride=1)
+        v = l2_membership(s)
+        assert (v.status, v.route) == (kernel.UNDECIDED, kernel.NON_FINITE)
 
     def test_harmonic_boundary_undecided(self):
         s = CoefficientStream.from_coefficients([1.0] * 20001, stride=1)
@@ -249,6 +248,15 @@ class TestKernelDimension:
     def test_undecided_propagates(self):
         rep = kernel.KernelReport(None, True, (), ())
         assert rep.dim is None and rep.undecided
+
+    def test_overflowed_stream_undecided(self):
+        # phi_0 has a zero within 1e-200 of the circle (route on_circle), and
+        # d_2 overflows: the NaN entries that follow are not zeros
+        rep = kernel_dimension((1, [1e200, 1e200]))
+        assert rep.dim is None and rep.undecided
+        assert rep.reason.startswith("seed 0 stream is not finite from k = 2")
+        assert [(v.status, v.route) for v in rep.verdicts] == [
+            (kernel.UNDECIDED, kernel.NON_FINITE)]
 
     def test_guard_corpus_dim_at_least_index(self):
         # 35 of these symbols counted fewer member seeds than the index:
@@ -362,7 +370,7 @@ class TestAdaptiveK:
         assert rep.dim == 1 and rep.verdicts[0].terms_used == 150
 
     @pytest.mark.parametrize("run", [
-        lambda K: recursion_analytic_perturbation(2, [0, 3.0], [0, 1.0], K),
+        lambda K: recursion_general(zbar_power_plus(2, [0, 3.0]), [0, 1.0], K),
         lambda K: recursion_general(HarmonicPolySymbol(2, (0.4 - 0.2j,), (0.5, 1.5)),
                                     [1.0, 0j], K),
         lambda K: recursion_special_family(2, 0.3, 2.5, 1, K),
@@ -389,35 +397,6 @@ class TestCoburn:
         v = coburn_classify(m, n, c)
         assert (v.dim_ker, v.dim_coker) == want
         assert v.coburn
-
-
-class TestRangeSolve:
-    def test_recover_constant(self):
-        # T_{conj(z)+z} applied to 1 gives z; solving with h = z recovers g = 1
-        s = range_solve(1, [0, 1], [0, 1, 0, 0, 0, 0], [1.0])
-        d = s.coefficients()
-        assert d[0] == 1
-        assert np.all(np.abs(d[1:]) < 1e-14)
-
-    def test_homogeneous_matches_kernel_recursion(self):
-        gen = np.random.default_rng(23)
-        m, f = 2, [0.3, -0.2j, 0.1]
-        seed = [complex(*gen.uniform(-1, 1, 2)) for _ in range(m)]
-        a = range_solve(m, f, [0j] * 50, seed).coefficients()
-        b = recursion_analytic_perturbation(m, f, seed, 51).coefficients()
-        assert np.allclose(a, b[: len(a)], rtol=1e-12, atol=1e-14)
-
-    def test_roundtrip_against_apply_symbol(self):
-        gen = np.random.default_rng(31)
-        for _ in range(10):
-            m = int(gen.integers(1, 4))
-            n = int(gen.integers(0, 4))
-            f = [complex(*gen.uniform(-1, 1, 2)) for _ in range(n + 1)]
-            g = [complex(*gen.uniform(-1, 1, 2)) for _ in range(25)]
-            h = finsect.apply_symbol(zbar_power_plus(m, f), g + [0j] * m)
-            rec = range_solve(m, f, h[:25], g[:m]).coefficients()
-            # error propagation through the back-substitution amplifies eps
-            assert np.allclose(rec[:25], g, rtol=0, atol=1e-9)
 
 
 class TestInjectivity:
@@ -468,7 +447,7 @@ class TestInjectivity:
 
 class TestStreamPlumbing:
     def test_rescaling_keeps_logmag(self):
-        s = recursion_analytic_perturbation(1, [3.0], [1.0], 2000)
+        s = recursion_general(zbar_power_plus(1, [3.0]), [1.0], 2000)
         # |d_k| = (k+1) 3^k overflows well before k = 2000
         assert s.log_scale > 0
         want = math.log(501.0) + 500 * math.log(3.0)
@@ -476,23 +455,15 @@ class TestStreamPlumbing:
 
     def test_closed_form_rescaling_matches_recursion(self):
         # growth far beyond the double range: compare true log magnitudes
-        a = recursion_analytic_perturbation(1, [1.5], [1.0], 5000)
+        a = recursion_general(zbar_power_plus(1, [1.5]), [1.0], 5000)
         b = closed_form_kernel_czn(1, 0, 1.5, 0, 5000)
         assert b.log_scale > 0
         assert np.all(np.isfinite(b.mant))
         assert np.allclose(a.logmag, b.logmag, rtol=1e-12, atol=1e-9)
         assert l2_membership(b).status == kernel.NON_MEMBER
 
-    def test_range_solve_survives_rescaling(self):
-        # homogeneous blow-up with a bounded right side: the forcing becomes
-        # negligible at scale, and the stream must stay finite and consistent
-        hom = recursion_analytic_perturbation(1, [3.0], [1.0], 3000)
-        forced = range_solve(1, [3.0], [1e-3] * 3000, [1.0])
-        assert np.all(np.isfinite(forced.mant))
-        assert forced.logmag[-1] == pytest.approx(hom.logmag[-1], rel=1e-6)
-
     def test_csv_export(self, tmp_path):
-        s = recursion_analytic_perturbation(1, [0.5], [1.0], 50)
+        s = recursion_general(zbar_power_plus(1, [0.5]), [1.0], 50)
         path = tmp_path / "stream.csv"
         s.to_csv(path)
         lines = path.read_text().splitlines()
@@ -506,11 +477,11 @@ class TestStreamPlumbing:
         # the truncation boundary
         for sym, stream in [
             (zbar_power_plus(2, [0, 0.5]),
-             recursion_analytic_perturbation(2, [0, 0.5], unit_seed(2, 1), 300)),
+             recursion_general(zbar_power_plus(2, [0, 0.5]), unit_seed(2, 1), 300)),
             (SpecialFamilySymbol(1, 0.25, 0.1),
              recursion_special_family(1, 0.25, 0.1, 0, 300)),
             (zbar_power_plus(1, [2.0]),
-             recursion_analytic_perturbation(1, [2.0], [1.0], 100)),
+             recursion_general(zbar_power_plus(1, [2.0]), [1.0], 100)),
             (HarmonicPolySymbol(2, (0.4 - 0.2j,), (0.5, 1.5)),
              recursion_general(HarmonicPolySymbol(2, (0.4 - 0.2j,), (0.5, 1.5)),
                                unit_seed(2, 0), 120)),
