@@ -337,7 +337,8 @@ def cmd_probe(parser, args) -> int:
             for re in np.linspace(re0, re1, res)]
     grid = finsect.min_singular_values(T, lams)
     sigmas = grid.sigma.tolist()
-    # below N eps ||T - lam|| no method resolves sigma_min
+    # below N eps ||T - lam|| the dense SVD returns rounding noise; bounded
+    # points report a proven upper bound there instead
     resolved = (grid.sigma > args.N * np.finfo(float).eps * grid.nu).tolist()
     if outdir is not None:
         with _csv_open(outdir / "probe.csv", "lam_re,lam_im,sigma_min,resolved", config) as fh:
@@ -352,10 +353,11 @@ def cmd_probe(parser, args) -> int:
             level = int(255 * (s - smin) / span)
             colors.append(f"rgb({level},{level},255)")
         _svg_scatter(outdir / "probe.svg", curve, lams, colors)
-    certified = int(grid.certified.sum())
+    certified, bounded = int(grid.certified.sum()), int(grid.bounded.sum())
     _write_summary(outdir, "probe", config,
                    {"sigma_min": min(sigmas), "sigma_max": max(sigmas),
-                    "certified": certified, "dense": len(lams) - certified,
+                    "certified": certified, "bounded": bounded,
+                    "dense": len(lams) - certified - bounded,
                     "unresolved": resolved.count(False), "passes": grid.passes,
                     "delta": finsect.DELTA, "classes": grid.classes})
     print(f"sigma_min over grid: {min(sigmas)!r}")

@@ -324,6 +324,11 @@ class ZeroPattern(NamedTuple):
         """Pairwise distinct moduli (the Poincare condition); vacuous without zeros."""
         return not self.roots or distinct_moduli(self.roots, rel_tol)
 
+    @property
+    def circle_distance(self) -> float:
+        """min |modulus - 1| over the zeros, the margin of the circle test; inf without zeros."""
+        return min((abs(mu - 1.0) for mu in self.moduli), default=math.inf)
+
 
 def _located(rs: tuple[complex, ...], circle_tol: float) -> ZeroPattern:
     mods = tuple(sorted(map(abs, rs)))

@@ -27,11 +27,15 @@ forming M and in the factorization moves lambda_min(M) by at most
 C_w eps nu^2 (nu >= ||T - lam||_2, C_w from the band width, see _c_w), so
 each test decides sigma_min against s to relative DELTA = 1e-9 once
 s >= nu sqrt(C_w eps / DELTA), which is 2e-3 to 5e-3 nu for band widths
-w = 0..4; the reported value is within 2 DELTA of sigma_min.  Smaller
-sigma_min, and non-finite or extreme data, fall back to the dense
-min_singular_value, bit for bit.  Squaring into M is what sets that
-threshold.  Apart from it, no method here resolves sigma_min below about
-N eps nu; the probe command marks such points as unresolved.
+w = 0..4; the reported value is within 2 DELTA of sigma_min.  Squaring
+into M is what sets that threshold.  Below it, one step of inverse
+iteration with a lane-wise banded LU of T - lam finds a vector v with
+||(T - lam) v|| <= t ||v||, t counting every rounding (see _inverse_step);
+where t <= N eps nu it is reported as a proven upper bound.  Below N eps nu
+no method here resolves sigma_min: the dense SVD returns rounding noise
+there, and the probe command marks such points as unresolved.  The
+remaining points (between N eps nu and the threshold), and non-finite or
+extreme data, fall back to the dense min_singular_value, bit for bit.
 """
 
 from __future__ import annotations
@@ -191,14 +195,18 @@ class SigmaGrid:
 
     `sigma[i]` belongs to `lams[i]`.  Where `certified[i]` it is the
     geometric mean of a bisection bracket and within 2*DELTA relative of
-    sigma_min(T - lam); elsewhere it is `min_singular_value(T, lam)`, bit
-    for bit.  `nu[i]` = sqrt(||T - lam||_1 ||T - lam||_inf) bounds
-    ||T - lam||_2.  `classes` is g, and `passes` counts the banded
-    factorizations, one per lane block and bisection step.
+    sigma_min(T - lam).  Where `bounded[i]` it is a proven upper bound
+    t >= sigma_min(T - lam) with t <= N eps nu[i], below the floor where
+    sigma_min is resolved.  Elsewhere it is `min_singular_value(T, lam)`,
+    bit for bit.  `nu[i]` = sqrt(||T - lam||_1 ||T - lam||_inf) bounds
+    ||T - lam||_2.  `classes` is g, and `passes` counts the banded LDL^H
+    factorizations, one per lane block and bisection step, plus one per
+    block of the bounding stage's prefilter.
     """
 
     sigma: np.ndarray
     certified: np.ndarray
+    bounded: np.ndarray
     nu: np.ndarray
     classes: int
     passes: int
@@ -217,7 +225,7 @@ class _Classes:
     """
 
     def __init__(self, E: np.ndarray):
-        n = E.shape[0]
+        n = self.n = E.shape[0]
         rows, cols = np.nonzero(E)
         # np.unique would import numpy.ma, about 1 MB
         offsets = np.flatnonzero(np.bincount(cols - rows + n, minlength=2 * n)) - n
@@ -406,6 +414,13 @@ class _Sweep:
         return ok
 
 
+def _blocks(count: int, per_item: int) -> list:
+    """Equal slices of range(count) whose items take at most _BLOCK_BYTES each."""
+    blocks = max(1, -(-count * per_item // _BLOCK_BYTES))
+    size = max(1, -(-count // blocks))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def min_singular_values(T: Union[ToeplitzTruncation, np.ndarray],
                         lams: Sequence[complex]) -> SigmaGrid:
     """sigma_min(T - lam) for every lam, certified by banded bisection.
@@ -420,28 +435,31 @@ def min_singular_values(T: Union[ToeplitzTruncation, np.ndarray],
     threshold t; a success opens the bracket [t, smallest column norm],
     which is halved in log scale until hi/lo <= 1 + 2 DELTA, and
     sqrt(lo hi) is reported.  A lam whose threshold test breaks down in any
-    class, whose nu is outside _NU_RANGE (non-finite data included) or
-    whose bracket does not close in _MAX_PASSES is answered by the dense
-    `min_singular_value` instead.
+    class or whose bracket does not close in _MAX_PASSES goes to `_bound`,
+    which reports a proven upper bound t <= N eps nu where one inverse
+    iteration step finds it (`bounded`).  The remaining lams, and those
+    whose nu is outside _NU_RANGE (non-finite data included), are answered
+    by the dense `min_singular_value` instead.
     """
     E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     sigma = np.empty(lams.size)
     certified = np.zeros(lams.size, dtype=bool)
+    bounded = np.zeros(lams.size, dtype=bool)
     nu = np.empty(lams.size)
     passes = 0
     with np.errstate(all="ignore"):
         cl = _Classes(E)
         w = cl.w
         per_lam = cl.g * ((cl.L + w) * (8 + 16 * cl.h) + (_CHUNK + w) * (2 * w + 1) * 16)
-        blocks = max(1, -(-lams.size * per_lam // _BLOCK_BYTES))
-        size = max(1, -(-lams.size // blocks))
-        for start in range(0, lams.size, size):
-            part = slice(start, start + size)
+        for part in _blocks(lams.size, per_lam):
             passes += _bisect(cl, lams[part], sigma[part], certified[part], nu[part])
-    for i in np.flatnonzero(~certified):
+        rest = np.flatnonzero(~certified & (nu > _NU_RANGE[0]) & (nu < _NU_RANGE[1]))
+        if rest.size:
+            passes += _bound(cl, lams, nu, rest, per_lam, sigma, bounded)
+    for i in np.flatnonzero(~certified & ~bounded):
         sigma[i] = min_singular_value(E, lams[i])
-    return SigmaGrid(sigma, certified, nu, cl.g, passes)
+    return SigmaGrid(sigma, certified, bounded, nu, cl.g, passes)
 
 
 def _bisect(cl: _Classes, lams: np.ndarray, sigma: np.ndarray, certified: np.ndarray,
@@ -474,3 +492,150 @@ def _bisect(cl: _Classes, lams: np.ndarray, sigma: np.ndarray, certified: np.nda
     sigma[idx] = np.sqrt(lo * hi).reshape(-1, g).min(axis=1)[closed]
     certified[idx] = True
     return passes
+
+
+# phases of the fixed start vector b_i = exp(2 pi i frac(_PHASE i^2)), the
+# same in every class, lane and block
+_PHASE = 0.6180339887498949
+
+
+def _bound(cl: _Classes, lams: np.ndarray, nu: np.ndarray, rest: np.ndarray,
+           per_lam: int, sigma: np.ndarray, bounded: np.ndarray) -> int:
+    """Bound sigma_min from above at lams[rest] in place; return the sweeps run.
+
+    One `_Sweep` at s^2 = 2 C_w eps nu^2 per block succeeds in a class only
+    if its sigma_min >= sqrt(C_w eps) nu > N eps nu (see `_c_w`), so such a
+    class cannot bring its lam below the floor and skips the factorization.
+    Every other class gets `_inverse_step`; a lam whose smallest bound is at
+    most N eps nu reports it.  The prefilter only saves work: any class's
+    bound bounds sigma_min of the whole section.
+    """
+    g, w = cl.g, cl.w
+    parts = _blocks(rest.size, per_lam)
+    lanes = []  # lane lam * g + r: class r of lams[lam]
+    for part in parts:
+        idx = rest[part]
+        s2 = np.repeat(2 * _c_w(w) * _EPS * nu[idx] ** 2, g)
+        low = np.flatnonzero(~_Sweep(_Block(cl, lams[idx]))(s2))
+        lanes.append(idx[low // g] * g + low % g)
+    lanes = np.concatenate(lanes)
+    t = np.empty(lanes.size)
+    # bytes per lane of _inverse_step's band, factors and vectors
+    per_lane = 16 * (cl.L + 2 * w) * (2 * cl.lower + 4 * w + 8)
+    for part in _blocks(lanes.size, per_lane):
+        j, r = np.divmod(lanes[part], g)
+        t[part] = _inverse_step(cl, lams[j], nu[j], r)
+    best = np.full(lams.size, np.nan)  # NaN fails the floor test: lams not in rest
+    np.fmin.at(best, lanes // g, t)
+    ok = best <= cl.n * _EPS * nu
+    sigma[ok] = best[ok]
+    bounded[ok] = True
+    return len(parts)
+
+
+def _inverse_step(cl: _Classes, lams: np.ndarray, nu: np.ndarray,
+                  r: np.ndarray) -> np.ndarray:
+    """Upper bounds t on sigma_min of class r[j] of T - lams[j], lane-wise.
+
+    A is the class block of T - lam, padded with nu on the diagonal to L
+    rows; its sigma_min is min(sigma_min of the class, nu), and nu is above
+    every accepted t.  A banded LU with partial pivoting, PA = LU, stores U
+    with w = upper + lower superdiagonals (pivots below eps nu are raised to
+    eps nu).  One inverse iteration step on A^H A solves A^H y = b and
+    A x = y from the fixed b, scaling y and x to largest modulus 1 on the
+    way.  The bound then rests on x alone, whatever the LU's accuracy:
+    sigma_min(A) <= ||A x|| / ||x|| for any x != 0.  With u = eps/2,
+    gamma_k = k u / (1 - k u) and A' = fl(T - lam) as formed here:
+      ||(A' - A) x||     <= u nu ||x||, since |A' - A| <= u |A| and
+                            || |A| ||_2 <= nu;
+      ||fl(A' x) - A' x|| <= 2 gamma_{w+2} nu ||x||, each entry a sum of at
+                            most w + 1 complex products (complex rounding
+                            doubling gamma, as in _c_w);
+      ||y||, ||x||        computed to relative gamma_{2L+1} each; squares
+                            that underflow lose at most sqrt(L) 1e-154,
+                            far below eps nu for nu in _NU_RANGE.
+    So sigma_min <= (r / q)(1 + 3 gamma_{2L+1}) + (2 gamma_{w+2} + u) nu,
+    r and q the computed norms of A' x and x.  The bound doubles both
+    terms, which absorbs the rounding of nu and of the sum itself:
+    t = (r / q)(1 + 8 (L + 1) eps) + (2w + 5) eps nu.
+    """
+    L, kl, w = cl.L, cl.lower, cl.w
+    n = lams.size
+    ar = np.arange(n)
+    diag = np.where(cl.valid[:, r], cl.diag[:, r] - lams, nu)
+    # (d, rows, values): A[i, i + d] for i in rows, d = -lower..upper
+    offdiag = [(d, slice(max(-d, 0), L - max(d, 0)), cl.col(-d)[max(d, 0):L + min(d, 0), r])
+               for d in range(-kl, cl.upper + 1) if d]
+    # band[i, kl + d] = A[i, i + d]; d up to w leaves room for U's fill-in
+    band = np.zeros((L + kl, kl + w + 1, n), dtype=complex)
+    band[:L, kl] = diag
+    for d, rows, vals in offdiag:
+        band[rows, kl + d] = vals
+    st = band.strides
+    # win[j, a, e] = band[j + a, kl - a + e] = A[j + a, j + e] at step j
+    win = as_strided(band[:, kl:], shape=(L, kl + 1, w + 1, n),
+                     strides=(st[0], st[0] - st[1], st[1], st[2]))
+    tiny = _EPS * nu
+    piv = np.zeros((L, n), dtype=np.intp)
+    mult = np.empty((L, kl, n), dtype=complex)
+    for j in range(L):
+        W = win[j]
+        if kl:
+            p = np.abs(W[:, 0]).argmax(axis=0)
+            top = W[0].copy()
+            W[0] = W[p, :, ar].T
+            W[p, :, ar] = top.T
+            piv[j] = p
+        pivot = W[0, 0]
+        np.copyto(pivot, tiny, where=np.abs(pivot) < tiny)
+        if kl:
+            np.divide(W[1:, 0], pivot, out=mult[j])
+            W[1:, 1:] -= mult[j][:, None] * W[0, 1:]
+    U = band[:L, kl:]
+    piv += np.arange(L)[:, None]
+    # A^H y = b: U^H z = b by columns, then L^H and the swaps backwards
+    Uc = np.conj(U)
+    inv = 1.0 / Uc[:, 0]
+    z = np.zeros((L + w, n), dtype=complex)
+    z[:L] = np.exp(2j * np.pi * ((_PHASE * np.arange(L) ** 2) % 1.0))[:, None]
+    for j in range(L):
+        zj = z[j]
+        zj *= inv[j]
+        z[j + 1:j + 1 + w] -= Uc[j, 1:] * zj
+    lc = np.conj(mult)
+    for j in range(L - 1, -1, -1) if kl else ():
+        acc = lc[j, 0] * z[j + 1]
+        for a in range(1, kl):
+            acc += lc[j, a] * z[j + 1 + a]
+        z[j] -= acc
+        zj = z[j].copy()
+        z[j] = z[piv[j], ar]
+        z[piv[j], ar] = zj
+    # A x = y: the swaps and L forwards, then U x = y by columns
+    v = np.zeros((L + 2 * w, n), dtype=complex)
+    v[w:w + L] = z[:L] / np.abs(z[:L]).max(axis=0)
+    for j in range(L) if kl else ():
+        vj = v[w + j].copy()
+        v[w + j] = v[w + piv[j], ar]
+        v[w + piv[j], ar] = vj
+        v[w + j + 1:w + j + 1 + kl] -= mult[j] * v[w + j]
+    ucol = np.zeros((L, w, n), dtype=complex)  # ucol[j, k] = U[j - w + k, j]
+    for k in range(w):
+        ucol[w - k:, k] = U[:L - w + k, w - k]
+    inv = 1.0 / U[:, 0]
+    for j in range(L - 1, -1, -1):
+        xj = v[w + j]
+        xj *= inv[j]
+        v[j:j + w] -= ucol[j] * xj
+    x = v[w:w + L] / np.abs(v[w:w + L]).max(axis=0)
+    ax = diag * x
+    for d, rows, vals in offdiag:
+        ax[rows] += vals * x[max(d, 0):L + min(d, 0)]
+    return (_norms(ax) / _norms(x) * (1 + 8 * (L + 1) * _EPS)
+            + (2 * w + 5) * _EPS * nu)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of a, each summed along its own contiguous row."""
+    sq = np.ascontiguousarray((a.real * a.real + a.imag * a.imag).T)
+    return np.sqrt(sq.sum(axis=1))

@@ -250,6 +250,10 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     anti = [(m - i, complex(c)) for i, c in enumerate(sym.anti, start=1) if c != 0]
     ana = [(i, complex(a)) for i, a in enumerate(sym.ana) if a != 0]
     window = m + n + 1                  # the lookback the recursion reads
+    # entries stay below `hard` (or 1 after a rescale), so the next one is at
+    # most (m + K + 1) * size * hard <= 1e300: large coefficients lower it
+    size = sum(abs(c) for _, c in anti) + sum(abs(a) for _, a in ana)
+    hard = min(_HARD_LIMIT, max(1.0, 1e300 / ((m + K + 1) * max(size, 1.0))))
     vals: list[complex] = []
     mods: list[float] = []              # moduli at creation, for the log magnitudes
     owed: list[tuple[int, float]] = []  # (cut, factor): entries below cut owe factor
@@ -274,7 +278,7 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
         if mod > blockmax:
             blockmax = mod
         since += 1
-        if mod > _HARD_LIMIT or (since >= _BLOCK and blockmax > _BLOCK_LIMIT):
+        if mod > hard or (since >= _BLOCK and blockmax > _BLOCK_LIMIT):
             # divide by blockmax: the window now, older entries when finished
             shift = math.log(blockmax)
             f = math.exp(-shift)

@@ -66,6 +66,14 @@ class TestKernelCommand:
         assert result["reason"].startswith("seed 0 stream is not finite")
         assert result["seed_verdicts"][0]["route"] == kernel.NON_FINITE
 
+    @pytest.mark.parametrize("c", ["1e160", "1e200"])
+    def test_large_coefficient_decides(self, capsys, c):
+        # Coburn's table (m = 1, n = 0, |c| >= 1) gives 0
+        rc = run(["kernel", "--symbol", f'{{"m": 1, "ana": [[{c}, 0]]}}'])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith("kernel dim: 0\n  seed 0: non_member")
+
     def test_missing_symbol_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["kernel"])
@@ -211,9 +219,12 @@ class TestProbeAndIndex:
             assert row[3] == ("1" if s > f else "0")
         assert {row[3] for row in rows} == {"0", "1"}
         result = json.loads((tmp_path / "probe_summary.json").read_text())["result"]
-        certified = int(want.certified.sum())
-        assert result["certified"] == certified and result["dense"] == 256 - certified
-        assert 0 < certified < 256
+        certified, bounded = int(want.certified.sum()), int(want.bounded.sum())
+        assert result["certified"] == certified and result["bounded"] == bounded
+        assert result["dense"] == 256 - certified - bounded
+        assert result["certified"] + result["bounded"] + result["dense"] == len(lams)
+        assert 0 < certified < 256 and bounded > 0
+        assert all(row[3] == "0" for row, b in zip(rows, want.bounded) if b)
         assert result["unresolved"] == sum(row[3] == "0" for row in rows)
         assert result["passes"] == want.passes
         assert result["delta"] == finsect.DELTA

@@ -215,6 +215,19 @@ class TestZeroPattern:
         assert cpoly.zero_pattern(p, 1e-6).in_disk is None
         assert cpoly.zero_pattern(p, 1e-10).in_disk == 1
 
+    def test_circle_distance(self):
+        # (z - 0.5)(z - (1 + 1e-8)): the outer zero sets the margin, which
+        # decides the circle test against each tolerance
+        r = 1 + 1e-8
+        p = CPoly.make([0.5 * r, -(0.5 + r), 1])
+        zp = cpoly.zero_pattern(p, 1e-6)
+        assert zp.circle_distance == pytest.approx(1e-8, rel=1e-6)
+        assert (zp.in_disk is None) == (zp.circle_distance <= 1e-6)
+        assert cpoly.zero_pattern(CPoly.make([3.0]), 1e-9).circle_distance == np.inf
+        assert cpoly.zero_pattern(CPoly.make([-2, 1]), 1e-9).circle_distance == 1.0
+        roots, moduli, in_disk = zp  # no field added: unpacking is unchanged
+        assert len(zp) == 3
+
     def test_distinct(self):
         assert not cpoly.zero_pattern(CPoly.make([1, 0, 2]), 1e-9).distinct()
         assert cpoly.zero_pattern(CPoly.make([2, -3, 1]), 1e-9).distinct(1e-3)

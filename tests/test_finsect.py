@@ -156,12 +156,19 @@ class TestMinSingularValues:
             T = truncation(sym, N)
             got = min_singular_values(T, lams)
             assert got.sigma.shape == got.certified.shape == got.nu.shape == lams.shape
+            assert got.bounded.shape == lams.shape
             assert got.certified.any()
+            assert not np.any(got.certified & got.bounded)
             for i, lam in enumerate(lams):
                 sv = np.linalg.svd(T.entries - complex(lam) * np.eye(N), compute_uv=False)
                 floor = 1e-10 * sv[0]
                 assert got.nu[i] >= sv[0] * (1 - 1e-14)
-                if not got.certified[i]:
+                if got.bounded[i]:
+                    # a proven upper bound at or below the floor N eps nu
+                    sub = N * np.finfo(float).eps * got.nu[i]
+                    assert got.sigma[i] <= sub, (N, lam)
+                    assert sv[-1] <= got.sigma[i] + sub, (N, lam)
+                elif not got.certified[i]:
                     # the threshold is below 1e-2 nu for every band width here
                     assert got.sigma[i] < 1e-2 * got.nu[i], (N, lam)
                     assert got.sigma[i] == min_singular_value(T, lam), (N, lam)
@@ -172,14 +179,56 @@ class TestMinSingularValues:
 
     def test_blocks_do_not_change_a_lane(self, monkeypatch):
         sym = SpecialFamilySymbol(2, 0.5 + 0.1j, 0.2)
-        T = truncation(sym, 32)
-        lams = _corpus_points(np.random.default_rng(3), sym)[:203]
-        whole = min_singular_values(T, lams)
+        gen = np.random.default_rng(326)
+        general = _corpus_symbol(gen, "general", 3, 1)
+        # the second section has bounded lanes, split over several blocks too
+        cases = [(truncation(sym, 32), _corpus_points(np.random.default_rng(3), sym)[:203]),
+                 (truncation(general, 64), _corpus_points(gen, general))]
+        wholes = [min_singular_values(T, lams) for T, lams in cases]
+        assert wholes[1].bounded.sum() >= 5
         monkeypatch.setattr(finsect, "_BLOCK_BYTES", 50_000)
-        split = min_singular_values(T, lams)
-        assert split.passes > whole.passes
-        assert np.array_equal(split.sigma, whole.sigma)
-        assert np.array_equal(split.certified, whole.certified)
+        for (T, lams), whole in zip(cases, wholes):
+            split = min_singular_values(T, lams)
+            assert split.passes > whole.passes
+            assert np.array_equal(split.sigma, whole.sigma)
+            assert np.array_equal(split.certified, whole.certified)
+            assert np.array_equal(split.bounded, whole.bounded)
+
+    def test_sub_floor_lane_is_bounded(self):
+        # the README example: sigma_min at lam = 0 is below N eps nu
+        T = truncation(SpecialFamilySymbol(1, 0.5, 0.0), 128)
+        got = min_singular_values(T, [0.0, 2.0])
+        assert list(got.bounded) == [True, False]
+        assert list(got.certified) == [False, True]
+        floor = 128 * np.finfo(float).eps * got.nu[0]
+        assert min_singular_value(T, 0.0) <= got.sigma[0] <= floor
+
+    def test_bound_that_misses_the_floor_goes_dense(self, monkeypatch):
+        gen = np.random.default_rng(222)
+        sym = _corpus_symbol(gen, "general", 2, 2)
+        T = truncation(sym, 128)
+        lams = _corpus_points(gen, sym)
+        seen = {}
+        step = finsect._inverse_step
+
+        def spy(cl, lam, nu, r):
+            t = step(cl, lam, nu, r)
+            for z, b, f in zip(lam, t, 128 * np.finfo(float).eps * nu):
+                seen[complex(z)] = min(seen.get(complex(z), np.inf), b / f)
+            return t
+
+        monkeypatch.setattr(finsect, "_inverse_step", spy)
+        got = min_singular_values(T, lams)
+        missed = [i for i, z in enumerate(lams) if seen.get(complex(z), 0) > 1]
+        assert missed and got.bounded.any()
+        for i in missed:
+            assert not got.bounded[i] and not got.certified[i]
+            assert got.sigma[i] == min_singular_value(T, lams[i])
+            # a missed bound is still an upper bound, up to the SVD's own error
+            floor = 128 * np.finfo(float).eps * got.nu[i]
+            assert seen[complex(lams[i])] >= got.sigma[i] / floor - 1
+        for i in np.flatnonzero(got.bounded):
+            assert seen[complex(lams[i])] <= 1
 
     def test_residue_classes(self):
         for m in (1, 2, 3):
@@ -203,8 +252,23 @@ class TestMinSingularValues:
             warnings.simplefilter("error")
             got = min_singular_values(T, lams)
         assert list(got.certified) == [False, False, True]
+        assert not got.bounded.any()
         for i in range(2):
             assert got.sigma[i] == min_singular_value(T, lams[i])
+
+    def test_extreme_and_nan_lanes_never_bounded(self, monkeypatch):
+        # the dense SVD of a NaN matrix raises; record its calls instead
+        T = truncation(SpecialFamilySymbol(1, 0.5, 0.0), 128)
+        lams = [complex("nan"), 1e200, -1e200, complex(0, 1e200), 0.0, 3.0]
+        dense = []
+        monkeypatch.setattr(finsect, "min_singular_value",
+                            lambda T, lam: dense.append(lam) or 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = min_singular_values(T, lams)
+        assert list(got.bounded) == [False] * 4 + [True, False]
+        assert list(got.certified) == [False] * 5 + [True]
+        assert len(dense) == 4 and list(got.sigma[:4]) == [7.0] * 4
 
     def test_exported_from_package(self):
         import bergtoep

@@ -250,13 +250,27 @@ class TestKernelDimension:
         assert rep.dim is None and rep.undecided
 
     def test_overflowed_stream_undecided(self):
-        # phi_0 has a zero within 1e-200 of the circle (route on_circle), and
-        # d_2 overflows: the NaN entries that follow are not zeros
-        rep = kernel_dimension((1, [1e200, 1e200]))
+        # phi_0 has a zero within 1e-308 of the circle (route on_circle), and
+        # d_1 overflows: the NaN entries that follow are not zeros
+        rep = kernel_dimension((1, [1e308, 1e308]))
         assert rep.dim is None and rep.undecided
-        assert rep.reason.startswith("seed 0 stream is not finite from k = 2")
+        assert rep.reason.startswith("seed 0 stream is not finite from k = 1")
         assert [(v.status, v.route) for v in rep.verdicts] == [
             (kernel.UNDECIDED, kernel.NON_FINITE)]
+
+    @pytest.mark.parametrize("c", [1e160, 1e200])
+    def test_large_coefficients_stay_finite(self, c):
+        # the rescale limit leaves room for |c| (m + K + 1): Coburn's table
+        # (m = 1, n = 0, |c| >= 1) gives 0, and the zero of phi_0 within
+        # 1/c of the circle decides by on_circle
+        rep = kernel_dimension((1, [c]))
+        assert (rep.dim, rep.undecided) == (0, False)
+        assert [v.route for v in rep.verdicts] == ["ratio"]
+        rep = kernel_dimension((1, [c, c]))
+        assert (rep.dim, rep.undecided) == (0, False)
+        assert [v.route for v in rep.verdicts] == ["on_circle"]
+        s = recursion_general(zbar_power_plus(1, [c]), [1.0], 20000)
+        assert np.all(np.isfinite(s.logmag))
 
     def test_guard_corpus_dim_at_least_index(self):
         # 35 of these symbols counted fewer member seeds than the index:
