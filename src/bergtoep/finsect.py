@@ -164,9 +164,12 @@ def truncation(sym: Symbol, n: int) -> ToeplitzTruncation:
 
 
 def min_singular_value(T: Union[ToeplitzTruncation, np.ndarray], lam: complex = 0j) -> float:
-    """Smallest singular value of T - lam*I (dense SVD)."""
+    """Smallest singular value of T - lam*I (dense SVD); NaN if it is not finite."""
     E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
-    A = E - complex(lam) * np.eye(E.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        A = E - complex(lam) * np.eye(E.shape[0])
+    if not np.isfinite(A).all():
+        return math.nan
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
@@ -198,7 +201,7 @@ class SigmaGrid:
     sigma_min(T - lam).  Where `bounded[i]` it is a proven upper bound
     t >= sigma_min(T - lam) with t <= N eps nu[i], below the floor where
     sigma_min is resolved.  Elsewhere it is `min_singular_value(T, lam)`,
-    bit for bit.  `nu[i]` = sqrt(||T - lam||_1 ||T - lam||_inf) bounds
+    bit for bit, which is NaN where T - lam is not finite.  `nu[i]` = sqrt(||T - lam||_1 ||T - lam||_inf) bounds
     ||T - lam||_2.  `classes` is g, and `passes` counts the banded LDL^H
     factorizations, one per lane block and bisection step, plus one per
     block of the bounding stage's prefilter.
@@ -439,7 +442,8 @@ def min_singular_values(T: Union[ToeplitzTruncation, np.ndarray],
     which reports a proven upper bound t <= N eps nu where one inverse
     iteration step finds it (`bounded`).  The remaining lams, and those
     whose nu is outside _NU_RANGE (non-finite data included), are answered
-    by the dense `min_singular_value` instead.
+    by the dense `min_singular_value` instead; a lam for which T - lam is
+    not finite gets NaN there, without an SVD.
     """
     E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
     lams = np.asarray(lams, dtype=complex).reshape(-1)

@@ -24,14 +24,17 @@ its only singular monomial is H(0) t^{j-2-m}; that part is integrated in
 closed form and the remainder t^{j-2-m}(H(t) - H(0)) goes through
 adaptive Gauss-Kronrod quadrature along the radial segment, with the
 difference H - H(0) evaluated by a complex expm1 to avoid cancellation
-near the origin.
+near the origin.  The quadrature runs lane-wise: every nonzero point is a
+lane with its own panel list, error test and panel budget, and each round
+evaluates the 15 Kronrod nodes of the new panels of all unconverged lanes
+in one array, so a point's integral is bitwise the one it would get alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -70,32 +73,71 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# lanes integrated at once, which bounds the (2 lanes x 15) node arrays
+_LANE_BLOCK = 4096
+_MAX_PANELS = 512
 
 
-def _gk_panel(f, a: float, b: float):
+def _gk_panels(f, lanes: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """K15 values and |K15 - G7| errors of panels [a_i, b_i] of lanes[i].
+
+    f(lanes, x) returns the integrand of each lane at the rows of x, one
+    row of 15 Kronrod nodes per panel.
+    """
     h = 0.5 * (b - a)
-    x = a + h * (_XK + 1.0)
-    fx = f(x)
-    k15 = h * np.sum(_WK * fx)
-    g7 = h * np.sum(_WG * fx[_GAUSS_IDX])
-    return k15, abs(k15 - g7)
+    x = a[:, None] + h[:, None] * (_XK + 1.0)
+    fx = f(lanes, x)
+    k15 = h * np.sum(_WK * fx, axis=1)
+    g7 = h * np.sum(_WG * fx[:, _GAUSS_IDX], axis=1)
+    return k15, np.abs(k15 - g7)
+
+
+def _adaptive_gk_lanes(f, n: int, a: float, b: float, tol: float,
+                       max_panels: int) -> np.ndarray:
+    """Adaptive Gauss-Kronrod integrals of n lanes on [a, b], in rounds.
+
+    Each lane keeps its own panel list and, while its summed error is
+    above tol, splits its first worst panel; every round evaluates the new
+    panels of all unconverged lanes in one f call.  A lane does exactly
+    the floating-point operations it would do alone.
+    """
+    val, err = _gk_panels(f, np.arange(n), np.full(n, float(a)), np.full(n, float(b)))
+    panels = [[(a, b, val[i], err[i])] for i in range(n)]
+    out = np.empty(n, dtype=complex)
+    active = list(range(n))
+    for _ in range(max_panels):
+        lanes, lo, hi = [], [], []
+        for i in active:
+            ps = panels[i]
+            if sum(p[3] for p in ps) <= tol:
+                out[i] = sum(p[2] for p in ps)
+                continue
+            worst = max(range(len(ps)), key=lambda k: ps[k][3])
+            a0, b0, _, _ = ps.pop(worst)
+            mid = 0.5 * (a0 + b0)
+            lanes += (i, i)
+            lo += (a0, mid)
+            hi += (mid, b0)
+        active = lanes[::2]
+        if not active:
+            return out
+        val, err = _gk_panels(f, np.array(lanes), np.array(lo), np.array(hi))
+        for r, i in enumerate(lanes):
+            panels[i].append((lo[r], hi[r], val[r], err[r]))
+    if active:
+        raise QuadratureError(f"did not reach tol {tol:.1e} within {max_panels} panels")
+    return out
 
 
 def adaptive_gk(f, a: float = 0.0, b: float = 1.0, tol: float = 1e-12,
-                max_panels: int = 512) -> complex:
-    """Adaptive Gauss-Kronrod integral of a complex-valued f on [a, b]."""
-    val, err = _gk_panel(f, a, b)
-    panels = [(a, b, val, err)]
-    for _ in range(max_panels):
-        total_err = sum(p[3] for p in panels)
-        if total_err <= tol:
-            return sum(p[2] for p in panels)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a0, b0, _, _ = panels.pop(worst)
-        mid = 0.5 * (a0 + b0)
-        panels.append((a0, mid, *_gk_panel(f, a0, mid)))
-        panels.append((mid, b0, *_gk_panel(f, mid, b0)))
-    raise QuadratureError(f"did not reach tol {tol:.1e} within {max_panels} panels")
+                max_panels: int = _MAX_PANELS) -> complex:
+    """Adaptive Gauss-Kronrod integral of a complex-valued f on [a, b].
+
+    The one-lane call of `_adaptive_gk_lanes`; f takes a 1-D array of nodes.
+    """
+    def rows(lanes, x):
+        return np.asarray(f(x.reshape(-1)), dtype=complex).reshape(x.shape)
+    return _adaptive_gk_lanes(rows, 1, a, b, tol, max_panels)[0]
 
 
 def _cexpm1(w: np.ndarray) -> np.ndarray:
@@ -174,12 +216,6 @@ class OdeKernelBasis:
     def exponents(self) -> tuple[complex, complex]:
         return (self.e1, self.e2)
 
-    def seed_delta(self, seed: Sequence[complex]) -> list[complex]:
-        """Forcing polynomial of a seed block: coefficient (m-1-l) d_l of z^l."""
-        if len(seed) != self.m:
-            raise ValueError("seed must have length m")
-        return [(self.m - 1 - l) * complex(d) for l, d in enumerate(seed[: self.m - 1])]
-
     # -- branch-consistent building blocks -------------------------------
 
     def _v(self, zm: np.ndarray) -> np.ndarray:
@@ -195,7 +231,14 @@ class OdeKernelBasis:
         return self._h0 * _cexpm1(psi)
 
     def g0_eval(self, z):
-        """The integrating factor G_0 at z in the open unit disk."""
+        """The integrating factor G_0 at z in the open unit disk.
+
+        The basis never evaluates G_0 itself (g_1 and the integrand use
+        V and H - H(0)); this is the ODE oracle: `TestG0` checks its
+        closed form and its logarithmic derivative m / (z (alpha z^{2m} +
+        beta z^m + 1)), which pins the roots, exponents and branch anchors
+        that every basis function shares.
+        """
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
             raise ValueError("G_0 is defined on |z| < 1")
@@ -224,23 +267,29 @@ class OdeKernelBasis:
             return complex(out[0]) if scalar else out
 
         p = j - 2 - self.m            # singular monomial exponent, always <= -2
+        nz = np.flatnonzero(z != 0)
+        q = np.zeros(len(z), dtype=complex)
+        for start in range(0, nz.size, _LANE_BLOCK):
+            part = nz[start:start + _LANE_BLOCK]
+            zc = z[part, None]
+
+            def integrand(lanes, s, zc=zc):
+                t = zc[lanes] * s
+                return (t ** p) * self._dh(t) * zc[lanes]
+            q[part] = _adaptive_gk_lanes(integrand, part.size, 0.0, 1.0, quad_tol,
+                                         _MAX_PANELS)
         out = np.empty(len(z), dtype=complex)
         g1v = self._g1(z)
         zm = z**self.m
         v = self._v(zm)
         for idx, zv in enumerate(z):
-            if zv == 0:
-                q = 0j
-            else:
-                def integrand(s, zv=zv):
-                    t = zv * s
-                    return (t ** p) * self._dh(t) * zv
-                q = adaptive_gk(integrand, 0.0, 1.0, tol=quad_tol)
-            # g1 * H(0) * z^{j-1-m} collapses: the branch constants cancel
+            # g1 * H(0) * z^{j-1-m} collapses: the branch constants cancel;
+            # the head stays a scalar expression, whose rounding the array
+            # form does not reproduce
             head = (zv ** (j - 2) * v[idx]
                     / ((j - 1 - self.m) * self.alpha
                        * (zm[idx] - self.z0m) * (zm[idx] - self.z1m)))
-            out[idx] = -(head + g1v[idx] * q)
+            out[idx] = -(head + g1v[idx] * q[idx])
         return complex(out[0]) if scalar else out
 
     def symbol(self) -> SpecialFamilySymbol:

@@ -270,6 +270,27 @@ class TestMinSingularValues:
         assert list(got.certified) == [False] * 5 + [True]
         assert len(dense) == 4 and list(got.sigma[:4]) == [7.0] * 4
 
+    def test_nan_lanes_answer_nan_without_svd(self, monkeypatch):
+        # 0.1 and 0.2 are dense band points at N = 32, 1e200 has nu = inf
+        T = truncation(SpecialFamilySymbol(1, 0.5, 0, 1), 32)
+        nan = complex("nan")
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: calls.append(1) or svd(A, **kw))
+        finite = min_singular_values(T, [0.1, 0.2, 1e200])
+        assert len(calls) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = min_singular_values(T, [0.1, nan, 0.2, complex(0, float("inf")), 1e200])
+        assert np.isnan(got.sigma[[1, 3]]).all() and len(calls) == 6
+        assert not got.certified[[1, 3]].any() and not got.bounded[[1, 3]].any()
+        for name in ("sigma", "certified", "bounded", "nu"):
+            assert getattr(got, name)[[0, 2, 4]].tobytes() == getattr(finite, name).tobytes()
+        assert np.isnan(min_singular_value(T, nan))
+        E = T.entries.copy()
+        E[3, 5] = nan
+        assert np.isnan(min_singular_values(E, [0.0, 2.0]).sigma).all()
+
     def test_exported_from_package(self):
         import bergtoep
         assert bergtoep.min_singular_values is min_singular_values

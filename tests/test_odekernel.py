@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bergtoep import kernel, odekernel
-from bergtoep.odekernel import (OdeKernelBasis, adaptive_gk, residual_check,
-                                taylor_coefficients)
+from bergtoep.odekernel import (_GAUSS_IDX, _WG, _WK, _XK, OdeKernelBasis, adaptive_gk,
+                                residual_check, taylor_coefficients)
 
 
 def subspace_angle(A, B):
@@ -47,10 +47,6 @@ class TestBasisConstruction:
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
             OdeKernelBasis(1, 0.0, 0.5)
-
-    def test_seed_delta(self):
-        b = OdeKernelBasis(3, 0.1, 0.1)
-        assert b.seed_delta([2.0, 3.0, 4.0]) == [4.0, 3.0]
 
 
 class TestG0:
@@ -152,3 +148,162 @@ class TestSpanAgreement:
             for j in range(m)
         ])
         assert subspace_angle(ode, rec) < 1e-6
+
+
+# --- the lane-wise quadrature against a per-point reference ---------------
+
+def _ref_gk_panel(f, a, b):
+    h = 0.5 * (b - a)
+    x = a + h * (_XK + 1.0)
+    fx = f(x)
+    k15 = h * np.sum(_WK * fx)
+    g7 = h * np.sum(_WG * fx[_GAUSS_IDX])
+    return k15, abs(k15 - g7)
+
+
+def _ref_adaptive_gk(f, a, b, tol, max_panels=512):
+    val, err = _ref_gk_panel(f, a, b)
+    panels = [(a, b, val, err)]
+    for _ in range(max_panels):
+        if sum(p[3] for p in panels) <= tol:
+            return sum(p[2] for p in panels)
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        a0, b0, _, _ = panels.pop(worst)
+        mid = 0.5 * (a0 + b0)
+        panels.append((a0, mid, *_ref_gk_panel(f, a0, mid)))
+        panels.append((mid, b0, *_ref_gk_panel(f, mid, b0)))
+    raise odekernel.QuadratureError("budget")
+
+
+def ref_eval_basis(b, j, z, quad_tol=1e-12):
+    """g_j, j >= 2, with one scalar adaptive integral per point."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    p = j - 2 - b.m
+    out = np.empty(len(z), dtype=complex)
+    g1v = b._g1(z)
+    zm = z**b.m
+    v = b._v(zm)
+    for idx, zv in enumerate(z):
+        if zv == 0:
+            q = 0j
+        else:
+            def integrand(s, zv=zv):
+                t = zv * s
+                return (t ** p) * b._dh(t) * zv
+            q = _ref_adaptive_gk(integrand, 0.0, 1.0, quad_tol)
+        head = (zv ** (j - 2) * v[idx]
+                / ((j - 1 - b.m) * b.alpha * (zm[idx] - b.z0m) * (zm[idx] - b.z1m)))
+        out[idx] = -(head + g1v[idx] * q)
+    return out
+
+
+def _polar_points():
+    # the points `kernel --out` samples
+    radii = np.linspace(0.05, 0.95, 10)
+    angles = 2 * np.pi * np.arange(24) / 24
+    return np.concatenate([r * np.exp(1j * angles) for r in radii])
+
+
+def _engine_corpus():
+    gen = np.random.default_rng(20)
+    near = (1 - 10.0 ** -gen.uniform(2, 6, 16)) * np.exp(2j * np.pi * gen.uniform(size=16))
+    pts = np.concatenate([_polar_points(), near, [0j, 0.5 + 0j]])
+    cases = []
+    for m in (2, 3, 4):
+        while sum(c[0].m == m for c in cases) < 2:
+            alpha, beta = (complex(*gen.normal(scale=0.3, size=2)) for _ in range(2))
+            try:
+                cases.append((OdeKernelBasis(m, alpha, beta), pts))
+            except ValueError:
+                continue
+    return cases
+
+
+_CORPUS = _engine_corpus()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+class TestLaneQuadrature:
+    @pytest.mark.parametrize("case", range(len(_CORPUS)))
+    def test_bitwise_equal_to_per_point_reference(self, case):
+        b, pts = _CORPUS[case]
+        for j in range(2, b.m + 1):
+            assert _bits(b.eval_basis(j, pts)) == _bits(ref_eval_basis(b, j, pts)), (b.m, j)
+
+    def test_subset_permutation_and_blocks_keep_bits(self, monkeypatch):
+        b, pts = _CORPUS[2]
+        full = b.eval_basis(3, pts)
+        monkeypatch.setattr(odekernel, "_LANE_BLOCK", 7)
+        assert _bits(b.eval_basis(3, pts)) == _bits(full)
+        perm = np.random.default_rng(4).permutation(len(pts))
+        assert _bits(b.eval_basis(3, pts[perm])) == _bits(full[perm])
+        sub = perm[:37]
+        assert _bits(b.eval_basis(3, pts[sub])) == _bits(full[sub])
+        for i in (0, 100, 257):
+            assert _bits(b.eval_basis(3, pts[i])) == _bits(full[i])
+
+    def test_zero_lanes_and_scalar_input(self):
+        b, _ = _CORPUS[0]
+        zs = np.array([0j, 0.3 - 0.2j, 0j, 0j])
+        got = b.eval_basis(2, zs)
+        assert _bits(got) == _bits(ref_eval_basis(b, 2, zs))
+        assert got[0] == got[2] == got[3]
+        one = b.eval_basis(2, 0.0)
+        assert isinstance(one, complex) and _bits(one) == _bits(got[0])
+        assert b.eval_basis(2, np.zeros(0)).shape == (0,)
+
+    def test_lane_out_of_panels_raises(self):
+        # lane 1 oscillates too fast for two splits; lanes 0 and 2 converge
+        freq = np.array([1.0, 400.0, 2.0])
+
+        def f(lanes, s):
+            return np.exp(1j * freq[lanes, None] * s)
+        with pytest.raises(odekernel.QuadratureError):
+            odekernel._adaptive_gk_lanes(f, 3, 0.0, 1.0, 1e-14, 2)
+        got = odekernel._adaptive_gk_lanes(lambda ln, s: f(ln * 2, s), 2, 0.0, 1.0, 1e-14, 2)
+        for lane, w in enumerate((1.0, 2.0)):
+            assert _bits(got[lane]) == _bits(
+                _ref_adaptive_gk(lambda s: np.exp(1j * w * s), 0.0, 1.0, 1e-14, 2))
+
+    def test_budget_counts_splits_like_reference(self):
+        # the reference raises after max_panels splits without a last test
+        outcomes = set()
+        for w in (2.0, 8.0, 20.0):
+            def f(s, w=w):
+                return np.exp(1j * w * s)
+            for budget in range(10):
+                try:
+                    want = _bits(_ref_adaptive_gk(f, 0.0, 1.0, 1e-12, budget))
+                except odekernel.QuadratureError:
+                    want = None
+                try:
+                    got = _bits(adaptive_gk(f, 0.0, 1.0, 1e-12, budget))
+                except odekernel.QuadratureError:
+                    got = None
+                assert got == want, (w, budget)
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_worst_panel_is_the_first_maximum(self):
+        # zero at the Gauss nodes, so |K15 - G7| = |K15|; the phase i on
+        # the right half is exact, so both halves have the same error
+        pattern = np.where(np.arange(15) % 2 == 0, np.arange(15.0) + 1.0, 0.0)
+        starts = []
+
+        def f(lanes, x):
+            starts.append(x[:, 0].copy())
+            return pattern * np.where(x[:, :1] > 0.5, 1j, 1.0)
+        with pytest.raises(odekernel.QuadratureError):
+            odekernel._adaptive_gk_lanes(f, 1, 0.0, 1.0, 0.0, 2)
+        assert len(starts) == 3 and np.all(starts[2] < 0.5)
+
+    def test_eval_basis_out_of_panels_raises(self, monkeypatch):
+        # some lanes of this case need five rounds of splits
+        b, pts = _CORPUS[5]
+        monkeypatch.setattr(odekernel, "_MAX_PANELS", 2)
+        with pytest.raises(odekernel.QuadratureError):
+            b.eval_basis(2, pts)
+        assert _bits(b.eval_basis(2, 0j)) == _bits(ref_eval_basis(b, 2, 0j)[0])
