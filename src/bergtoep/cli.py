@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cpoly, finsect, kernel, odekernel, spectrum, symbols
-from .symbols import HarmonicPolySymbol, SpecialFamilySymbol
+from . import __version__, cpoly, finsect, kernel, odekernel, oracles, spectrum, symbols
+from .symbols import SpecialFamilySymbol
 
 
 def _parse_complex(text: str) -> complex:
@@ -69,22 +69,22 @@ def _parse_grid(text: str):
     return re0, re1, im0, im1, res
 
 
-def _load_symbol(args) -> symbols.Symbol:
-    if args.family is not None:
-        return args.family
-    if args.symbol is not None:
-        text = args.symbol
-        if not text.lstrip().startswith("{"):
-            text = Path(text).read_text(encoding="utf-8")
-        return symbols.from_json(text)
-    raise SystemExit(2)
+def _grid_points(grid) -> list[complex]:
+    re0, re1, im0, im1, res = grid
+    return [complex(re, im) for im in np.linspace(im0, im1, res)
+            for re in np.linspace(re0, re1, res)]
 
 
 def _require_symbol(parser, args) -> symbols.Symbol:
-    if args.family is None and args.symbol is None:
+    if args.family is not None:
+        return args.family
+    if args.symbol is None:
         parser.error("one of --family or --symbol is required")
+    text = args.symbol
     try:
-        return _load_symbol(args)
+        if not text.lstrip().startswith("{"):
+            text = Path(text).read_text(encoding="utf-8")
+        return symbols.from_json(text)
     except OSError as exc:
         parser.error(f"cannot read symbol file: {exc}")
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -224,11 +224,7 @@ def cmd_classify(parser, args) -> int:
     outdir = _outdir(args)
     points = [(sym.alpha, sym.beta, sym.gamma)]
     if args.grid is not None:
-        re0, re1, im0, im1, res = args.grid
-        alphas = [complex(re, im)
-                  for im in np.linspace(im0, im1, res)
-                  for re in np.linspace(re0, re1, res)]
-        points = [(a, sym.beta, sym.gamma) for a in alphas]
+        points = [(a, sym.beta, sym.gamma) for a in _grid_points(args.grid)]
     rows = []
     counts: dict[str, int] = {}
     for a, b, g in points:
@@ -274,13 +270,7 @@ def cmd_spectrum(parser, args) -> int:
     outdir = _outdir(args)
     if args.grid is None and args.lam is None:
         parser.error("spectrum needs --lambda or --grid")
-    if args.grid is None:
-        lams = [args.lam]
-    else:
-        re0, re1, im0, im1, res = args.grid
-        lams = [complex(re, im)
-                for im in np.linspace(im0, im1, res)
-                for re in np.linspace(re0, re1, res)]
+    lams = [args.lam] if args.grid is None else _grid_points(args.grid)
     if isinstance(sym, SpecialFamilySymbol):
         points = [_special_spectrum_verdict(sym, lam) for lam in lams]
     else:
@@ -332,9 +322,7 @@ def cmd_probe(parser, args) -> int:
     config = {"symbol": symbols.to_json(sym), "grid": args.grid, "N": args.N}
     outdir = _outdir(args)
     T = finsect.truncation(sym, args.N)
-    re0, re1, im0, im1, res = args.grid
-    lams = [complex(re, im) for im in np.linspace(im0, im1, res)
-            for re in np.linspace(re0, re1, res)]
+    lams = _grid_points(args.grid)
     grid = finsect.min_singular_values(T, lams)
     sigmas = grid.sigma.tolist()
     # below N eps ||T - lam|| the dense SVD returns rounding noise; bounded
@@ -387,188 +375,7 @@ def cmd_index(parser, args) -> int:
 # validate: cross-module oracle suite
 # ---------------------------------------------------------------------------
 
-def _check_schur_cohn_vs_roots(rng, trials):
-    bad = []
-    done = 0
-    while done < trials:
-        deg = int(rng.integers(1, 9))
-        cs = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
-        p = cpoly.CPoly.make(list(cs))
-        if p.degree != deg or abs(p.coeffs[-1]) < 0.25:
-            continue
-        rep = cpoly.schur_cohn(p)
-        if rep.is_indeterminate:
-            continue
-        truth = cpoly.zero_pattern(p, 1e-6).in_disk
-        if truth is None:
-            continue
-        done += 1
-        if truth != rep.in_disk_count:
-            bad.append({"coeffs": [[c.real, c.imag] for c in p.coeffs],
-                        "roots_count": truth, "schur_cohn": rep.in_disk_count})
-    return not bad, {"trials": trials, "mismatches": bad}
-
-
-def _check_winding_vs_zero_count(rng, trials):
-    bad = []
-    done = 0
-    while done < trials:
-        m = int(rng.integers(1, 4))
-        alpha = complex(*rng.uniform(-1.5, 1.5, 2))
-        beta = complex(*rng.uniform(-1.5, 1.5, 2))
-        lam = complex(*rng.uniform(-3, 3, 2))
-        sym = SpecialFamilySymbol(m, alpha, beta)
-        if spectrum.curve_distance(sym, lam) < 1e-3:
-            continue
-        quad = symbols.special_to_quadratic(sym, lam)
-        count = cpoly.zero_pattern(quad, 1e-6).in_disk
-        if count is None:
-            continue
-        done += 1
-        wind = spectrum.winding_of_symbol(sym, lam).winding
-        if wind + m != m * count:
-            bad.append({"m": m, "alpha": [alpha.real, alpha.imag],
-                        "beta": [beta.real, beta.imag],
-                        "lam": [lam.real, lam.imag],
-                        "wind": wind, "count": count})
-    return not bad, {"trials": trials, "mismatches": bad}
-
-
-def _check_recursion_vs_closed_form(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(0, 4))
-        c = complex(*rng.uniform(-1.5, 1.5, 2))
-        j = int(rng.integers(0, m))
-        seed = [0j] * m
-        seed[j] = 1.0
-        K = 120
-        f = [0j] * (n + 1)
-        f[n] = c
-        a = kernel.recursion_general(symbols.zbar_power_plus(m, f), seed, K)
-        b = kernel.closed_form_kernel_czn(m, n, c, j, K)
-        diff = float(np.max(np.abs(a.coefficients() - b.coefficients())))
-        scale = float(np.max(np.abs(b.coefficients()))) or 1.0
-        worst = max(worst, diff / scale)
-    return worst <= 1e-12, {"worst_rel_diff": worst}
-
-
-def _check_tstar_identity(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(1, 5))
-        deg = int(rng.integers(m + 1, 51))
-        d = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
-        d[:m] = 0
-        worst = max(worst, finsect.tstar_zm_check(m, d))
-    return worst <= 1e-12, {"worst_residual": worst}
-
-
-def _check_region_agreement(rng, trials):
-    bad = []
-    for _ in range(trials):
-        alpha = complex(*rng.uniform(-1.2, 1.2, 2))
-        beta = complex(*rng.uniform(-1.5, 1.5, 2))
-        gamma = complex(*rng.uniform(-1.2, 1.2, 2))
-        v = spectrum.classify_projective(2, alpha, beta, gamma)
-        chk = v.inequality_checks
-        if chk.region is None or chk.margin <= 1e-9 or v.region == spectrum.NOT_FREDHOLM:
-            continue
-        if not chk.agrees_with_roots:
-            bad.append({"alpha": [alpha.real, alpha.imag],
-                        "beta": [beta.real, beta.imag],
-                        "gamma": [gamma.real, gamma.imag],
-                        "roots": v.region, "inequalities": chk.region})
-    return not bad, {"trials": trials, "mismatches": bad}
-
-
-def _check_coburn_table(rng, trials):
-    cs = [0.3, 0.5 * np.exp(1j * np.pi / 3), 1.5]
-    bad = []
-    for m in (1, 2):
-        for n in (0, 1, 2):
-            for c in cs:
-                rep = kernel.kernel_dimension((m, [0j] * n + [complex(c)]), K=4000)
-                want = kernel.coburn_classify(m, n, c).dim_ker
-                if rep.dim != want:
-                    bad.append({"m": m, "n": n, "c": [complex(c).real, complex(c).imag],
-                                "got": rep.dim, "want": want})
-    return not bad, {"mismatches": bad}
-
-
-def _check_ellipse_vs_classify(rng, trials):
-    bad = []
-    for _ in range(trials):
-        m = int(rng.integers(1, 4))
-        a = 0.85 * np.sqrt(rng.uniform())
-        alpha = a * np.exp(2j * np.pi * rng.uniform())
-        beta = complex(*rng.uniform(-1, 1, 2))
-        theta = 2 * np.pi * rng.uniform()
-        tau = np.angle(alpha) if alpha != 0 else 0.0
-        edge = complex((1 + a) * np.cos(theta), (1 - a) * np.sin(theta))
-        for s, want_inside in ((0.8, True), (1.2, False)):
-            lam = beta + np.exp(0.5j * tau) * (s * edge)
-            region = spectrum.special_family_region(m, alpha, beta, lam)
-            if want_inside and region != spectrum.INTERIOR:
-                bad.append({"case": "interior", "m": m, "s": s})
-                continue
-            if not want_inside:
-                if region != spectrum.EXTERIOR:
-                    bad.append({"case": "exterior-region", "m": m, "s": s})
-                    continue
-                v = spectrum.classify_projective(m, alpha, beta - lam, 1.0)
-                if v.region != spectrum.OMEGA1:
-                    bad.append({"case": "exterior-classify", "m": m,
-                                "got": v.region})
-    return not bad, {"trials": trials, "mismatches": bad}
-
-
-def _check_odekernel_span(rng, trials):
-    m, alpha, beta = 2, 0.1 + 0j, 0.1 + 0j
-    basis = odekernel.OdeKernelBasis(m, alpha, beta)
-    K = 40
-    ode = np.vstack([odekernel.taylor_coefficients(basis, j, K) for j in (1, 2)])
-    rec = np.vstack([
-        kernel.recursion_special_family(m, alpha, beta, j, K - 1).coefficients()
-        for j in range(m)
-    ])
-    angle = _subspace_angle(ode, rec)
-    return angle < 1e-6, {"subspace_angle": angle}
-
-
-def _subspace_angle(A: np.ndarray, B: np.ndarray) -> float:
-    qa, _ = np.linalg.qr(A.conj().T)
-    qb, _ = np.linalg.qr(B.conj().T)
-    sv = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    sv = np.clip(sv, 0.0, 1.0)
-    return float(np.arccos(sv.min()))
-
-
-def _check_boundary_identity(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(0, 4))
-        anti = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(m - 1))
-        ana = [complex(*rng.uniform(-1, 1, 2)) for _ in range(n + 1)]
-        if n >= 1 and ana[-1] == 0:
-            ana[-1] = 1.0
-        sym = HarmonicPolySymbol(m, anti, tuple(ana))
-        lam = complex(*rng.uniform(-2, 2, 2))
-        z = np.exp(2j * np.pi * np.arange(64) / 64)
-        phi = symbols.associated_poly(sym, lam).poly
-        lhs = sym.eval(z) - lam
-        rhs = cpoly.eval_poly_many(phi.coeffs, z) / z**m
-        scale = float(np.max(np.abs(rhs))) or 1.0
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-    return worst <= 1e-12, {"worst_rel_diff": worst}
-
-
-_SUITES = {
-    "quick": 1,
-    "all": 5,
-}
+_SUITES = {"quick": 1, "all": 5}
 
 
 def cmd_validate(parser, args) -> int:
@@ -576,29 +383,17 @@ def cmd_validate(parser, args) -> int:
         parser.error(f"unknown suite {args.suite!r} (use quick or all)")
     mult = _SUITES[args.suite]
     rng = np.random.default_rng(args.seed)
-    checks = [
-        ("boundary-identity", _check_boundary_identity, 40 * mult),
-        ("schur-cohn-vs-roots", _check_schur_cohn_vs_roots, 100 * mult),
-        ("winding-vs-zero-count", _check_winding_vs_zero_count, 40 * mult),
-        ("recursion-vs-closed-form", _check_recursion_vs_closed_form, 40 * mult),
-        ("tstar-integral-identity", _check_tstar_identity, 40 * mult),
-        ("region-inequality-agreement", _check_region_agreement, 200 * mult),
-        ("coburn-table", _check_coburn_table, 1),
-        ("ellipse-vs-classify", _check_ellipse_vs_classify, 20 * mult),
-        ("odekernel-span", _check_odekernel_span, 1),
-    ]
     config = {"suite": args.suite, "seed": args.seed}
     results = []
     failures = []
-    for name, fn, trials in checks:
-        ok, detail = fn(rng, trials)
-        results.append((name, ok, detail))
+    for name, check, trials in oracles.ORACLES:
+        ok, detail = check(rng, trials * mult)
+        results.append({"check": name, "ok": ok})
         if not ok:
             failures.append({"check": name, "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     outdir = _outdir(args)
-    _write_summary(outdir, "validate", config,
-                   {"results": [{"check": n, "ok": ok} for n, ok, _ in results]})
+    _write_summary(outdir, "validate", config, {"results": results})
     if failures:
         target = (outdir or Path(".")) / "validate_failures.json"
         target.write_text(json.dumps(failures, indent=2, default=_jsonable),

@@ -121,14 +121,6 @@ class ToeplitzTruncation:
     n: int
     entries: np.ndarray
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("row,col,re,im\n")
-            for r in range(self.n):
-                for c in range(self.n):
-                    v = self.entries[r, c]
-                    fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
-
 
 def bandwidth(sym: Symbol) -> int:
     """Largest anti-analytic shift plus largest analytic shift of the symbol."""

@@ -102,6 +102,8 @@ class CoefficientStream:
 
     @classmethod
     def from_coefficients(cls, values: Sequence[complex], stride: int = 1) -> "CoefficientStream":
+        """Wrap coefficients built outside the recursions, e.g. to hand a
+        synthetic profile to `l2_membership`."""
         mant = np.asarray(list(values), dtype=complex)
         with np.errstate(divide="ignore"):
             logmag = np.log(np.abs(mant))

@@ -1,0 +1,210 @@
+"""Cross-module oracles, shared by `bergtoep validate` and the acceptance suite.
+
+Each check(rng, trials) returns (ok, detail) with a JSON-ready detail.
+ORACLES lists (name, check, trials) in the order validate runs them on one
+generator; trials is the quick-suite count, which the two fixed-corpus
+checks (coburn-table, odekernel-span) ignore.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import cpoly, finsect, kernel, odekernel, spectrum, symbols
+from .symbols import HarmonicPolySymbol, SpecialFamilySymbol
+
+
+def check_schur_cohn_vs_roots(rng, trials):
+    bad = []
+    done = 0
+    while done < trials:
+        deg = int(rng.integers(1, 9))
+        cs = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
+        p = cpoly.CPoly.make(list(cs))
+        # a near-vanishing leading coefficient makes the degree ill-defined
+        # (one root escapes to infinity and double precision cannot meet a
+        # residual bound relative to max|a|); keep the degree honest
+        if p.degree != deg or abs(p.coeffs[-1]) < 0.25:
+            continue
+        rep = cpoly.schur_cohn(p)
+        if rep.is_indeterminate:
+            continue
+        truth = cpoly.zero_pattern(p, 1e-6).in_disk
+        if truth is None:
+            continue
+        done += 1
+        if truth != rep.in_disk_count:
+            bad.append({"coeffs": [[c.real, c.imag] for c in p.coeffs],
+                        "roots_count": truth, "schur_cohn": rep.in_disk_count})
+    return not bad, {"trials": trials, "mismatches": bad}
+
+
+def check_winding_vs_zero_count(rng, trials):
+    bad = []
+    done = 0
+    while done < trials:
+        m = int(rng.integers(1, 4))
+        alpha = complex(*rng.uniform(-1.5, 1.5, 2))
+        beta = complex(*rng.uniform(-1.5, 1.5, 2))
+        lam = complex(*rng.uniform(-3, 3, 2))
+        sym = SpecialFamilySymbol(m, alpha, beta)
+        if spectrum.curve_distance(sym, lam) < 1e-3:
+            continue
+        quad = symbols.special_to_quadratic(sym, lam)
+        count = cpoly.zero_pattern(quad, 1e-6).in_disk
+        if count is None:
+            continue
+        done += 1
+        wind = spectrum.winding_of_symbol(sym, lam).winding
+        if wind + m != m * count:
+            bad.append({"m": m, "alpha": [alpha.real, alpha.imag],
+                        "beta": [beta.real, beta.imag],
+                        "lam": [lam.real, lam.imag],
+                        "wind": wind, "count": count})
+    return not bad, {"trials": trials, "mismatches": bad}
+
+
+def check_recursion_vs_closed_form(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(0, 4))
+        c = complex(*rng.uniform(-1.5, 1.5, 2))
+        j = int(rng.integers(0, m))
+        seed = [0j] * m
+        seed[j] = 1.0
+        K = 120
+        a = kernel.recursion_general(symbols.zbar_power_plus(m, [0j] * n + [c]), seed, K)
+        b = kernel.closed_form_kernel_czn(m, n, c, j, K)
+        diff = float(np.max(np.abs(a.coefficients() - b.coefficients())))
+        scale = float(np.max(np.abs(b.coefficients()))) or 1.0
+        worst = max(worst, diff / scale)
+    return worst <= 1e-12, {"worst_rel_diff": worst}
+
+
+def check_tstar_identity(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(1, 5))
+        deg = int(rng.integers(m + 1, 51))
+        d = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
+        d[:m] = 0
+        worst = max(worst, finsect.tstar_zm_check(m, d))
+    return worst <= 1e-12, {"worst_residual": worst}
+
+
+def check_region_agreement(rng, trials):
+    bad = []
+    for _ in range(trials):
+        alpha = complex(*rng.uniform(-1.2, 1.2, 2))
+        beta = complex(*rng.uniform(-1.5, 1.5, 2))
+        gamma = complex(*rng.uniform(-1.2, 1.2, 2))
+        v = spectrum.classify_projective(2, alpha, beta, gamma)
+        chk = v.inequality_checks
+        if chk.region is None or chk.margin <= 1e-9 or v.region == spectrum.NOT_FREDHOLM:
+            continue
+        if not chk.agrees_with_roots:
+            bad.append({"alpha": [alpha.real, alpha.imag],
+                        "beta": [beta.real, beta.imag],
+                        "gamma": [gamma.real, gamma.imag],
+                        "roots": v.region, "inequalities": chk.region})
+    return not bad, {"trials": trials, "mismatches": bad}
+
+
+def coburn_mismatches(ms, ns, cs, K):
+    """Cases of conj(z)^m + c z^n whose recursion kernel dimension at K
+    (None when undecided) differs from `coburn_classify`."""
+    bad = []
+    for m in ms:
+        for n in ns:
+            for c in cs:
+                rep = kernel.kernel_dimension((m, [0j] * n + [complex(c)]), K=K)
+                want = kernel.coburn_classify(m, n, c).dim_ker
+                if rep.dim != want:
+                    bad.append({"m": m, "n": n, "c": [complex(c).real, complex(c).imag],
+                                "got": rep.dim, "want": want})
+    return bad
+
+
+def check_coburn_table(rng, trials):
+    cs = [0.3, 0.5 * np.exp(1j * np.pi / 3), 1.5]
+    bad = coburn_mismatches((1, 2), (0, 1, 2), cs, K=4000)
+    return not bad, {"mismatches": bad}
+
+
+def check_ellipse_vs_classify(rng, trials):
+    bad = []
+    for _ in range(trials):
+        m = int(rng.integers(1, 4))
+        a = 0.85 * np.sqrt(rng.uniform())
+        alpha = a * np.exp(2j * np.pi * rng.uniform())
+        beta = complex(*rng.uniform(-1, 1, 2))
+        theta = 2 * np.pi * rng.uniform()
+        tau = np.angle(alpha) if alpha != 0 else 0.0
+        edge = complex((1 + a) * np.cos(theta), (1 - a) * np.sin(theta))
+        for s, want_inside in ((0.8, True), (1.2, False)):
+            lam = beta + np.exp(0.5j * tau) * (s * edge)
+            region = spectrum.special_family_region(m, alpha, beta, lam)
+            if want_inside:
+                if region != spectrum.INTERIOR:
+                    bad.append({"case": "interior", "m": m, "s": s})
+            elif region != spectrum.EXTERIOR:
+                bad.append({"case": "exterior-region", "m": m, "s": s})
+            else:
+                v = spectrum.classify_projective(m, alpha, beta - lam, 1.0)
+                if v.region != spectrum.OMEGA1:
+                    bad.append({"case": "exterior-classify", "m": m, "got": v.region})
+    return not bad, {"trials": trials, "mismatches": bad}
+
+
+def span_angle(basis: odekernel.OdeKernelBasis, K: int) -> float:
+    """Largest principal angle between the spans of the first K Taylor
+    coefficients of g_1..g_m and of the m residue-class recursions."""
+    m, alpha, beta = basis.m, basis.alpha, basis.beta
+    ode = np.vstack([odekernel.taylor_coefficients(basis, j, K) for j in range(1, m + 1)])
+    rec = np.vstack([
+        kernel.recursion_special_family(m, alpha, beta, j, K - 1).coefficients()
+        for j in range(m)
+    ])
+    qa, _ = np.linalg.qr(ode.conj().T)
+    qb, _ = np.linalg.qr(rec.conj().T)
+    sv = np.clip(np.linalg.svd(qa.conj().T @ qb, compute_uv=False), 0.0, 1.0)
+    return float(np.arccos(sv.min()))
+
+
+def check_odekernel_span(rng, trials):
+    angle = span_angle(odekernel.OdeKernelBasis(2, 0.1 + 0j, 0.1 + 0j), 40)
+    return angle < 1e-6, {"subspace_angle": angle}
+
+
+def check_boundary_identity(rng, trials):
+    worst = 0.0
+    for _ in range(trials):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(0, 4))
+        anti = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(m - 1))
+        ana = [complex(*rng.uniform(-1, 1, 2)) for _ in range(n + 1)]
+        if n >= 1 and ana[-1] == 0:
+            ana[-1] = 1.0
+        sym = HarmonicPolySymbol(m, anti, tuple(ana))
+        lam = complex(*rng.uniform(-2, 2, 2))
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        phi = symbols.associated_poly(sym, lam).poly
+        lhs = sym.eval(z) - lam
+        rhs = cpoly.eval_poly_many(phi.coeffs, z) / z**m
+        scale = float(np.max(np.abs(rhs))) or 1.0
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+    return worst <= 1e-12, {"worst_rel_diff": worst}
+
+
+ORACLES = (
+    ("boundary-identity", check_boundary_identity, 40),
+    ("schur-cohn-vs-roots", check_schur_cohn_vs_roots, 100),
+    ("winding-vs-zero-count", check_winding_vs_zero_count, 40),
+    ("recursion-vs-closed-form", check_recursion_vs_closed_form, 40),
+    ("tstar-integral-identity", check_tstar_identity, 40),
+    ("region-inequality-agreement", check_region_agreement, 200),
+    ("coburn-table", check_coburn_table, 1),
+    ("ellipse-vs-classify", check_ellipse_vs_classify, 20),
+    ("odekernel-span", check_odekernel_span, 1),
+)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergtoep import cli, cpoly, finsect, kernel, spectrum
+from bergtoep import cli, cpoly, finsect, kernel, oracles, spectrum
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               to_json, zbar_power_plus)
 
@@ -267,9 +267,9 @@ class TestValidateCommand:
     def test_quick_suite_passes(self, capsys):
         rc = run(["validate", "--suite", "quick", "--seed", "42"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        names = [name for name, _, _ in oracles.ORACLES]
+        assert len(set(names)) == len(names)
+        assert capsys.readouterr().out.splitlines() == [f"PASS  {n}" for n in names]
 
     def test_all_suite_passes(self, capsys):
         rc = run(["validate", "--suite", "all", "--seed", "7"])
@@ -280,7 +280,9 @@ class TestValidateCommand:
         def broken_check(rng, trials):
             return False, {"trials": trials,
                            "mismatches": [{"coeffs": [[1.0, 0.0]]}]}
-        monkeypatch.setattr(cli, "_check_tstar_identity", broken_check)
+        monkeypatch.setattr(oracles, "ORACLES", tuple(
+            (n, broken_check if n == "tstar-integral-identity" else check, t)
+            for n, check, t in oracles.ORACLES))
         rc = run(["validate", "--suite", "quick", "--seed", "1",
                   "--out", str(tmp_path)])
         assert rc == 1
