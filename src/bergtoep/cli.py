@@ -34,6 +34,25 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+def _bounded(convert, ok, message: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
+
+
+_parse_K = _bounded(int, lambda K: K >= 100, "K must be at least 100")
+_parse_tol = _bounded(float, lambda tol: math.isfinite(tol) and tol > 0,
+                      "tolerances must be positive and finite")
+
+
 def _parse_family(text: str) -> SpecialFamilySymbol:
     fields = {}
     for part in text.split(","):
@@ -379,8 +398,6 @@ _SUITES = {"quick": 1, "all": 5}
 
 
 def cmd_validate(parser, args) -> int:
-    if args.suite not in _SUITES:
-        parser.error(f"unknown suite {args.suite!r} (use quick or all)")
     mult = _SUITES[args.suite]
     rng = np.random.default_rng(args.seed)
     config = {"suite": args.suite, "seed": args.seed}
@@ -405,53 +422,55 @@ def cmd_validate(parser, args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# every option once; each subcommand declares only the ones it reads
+_OPTIONS = {
+    "--family": dict(type=_parse_family,
+                     help="inline family m=..,alpha=..,beta=..[,gamma=..]"),
+    "--symbol": dict(help="symbol JSON: inline text starting with {, or a file path"),
+    "--grid": dict(type=_parse_grid, help="re0,re1,im0,im1,res"),
+    "--K": dict(type=_parse_K, default=20000),
+    "--N": dict(type=int, default=128),
+    "--lambda": dict(dest="lam", type=_parse_complex),
+    "--tol-ratio": dict(type=_parse_tol, default=1e-3),
+    "--tol-curve": dict(type=_parse_tol, default=1e-6),
+    "--tol-moduli": dict(type=_parse_tol, default=1e-6),
+    "--tol-degeneracy": dict(type=_parse_tol, default=1e-10),
+    "--strict": dict(action="store_true"),
+    "--suite": dict(choices=tuple(_SUITES), default="all"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(help="output directory"),
+}
+
+_SYMBOL = ("--family", "--symbol")
+
+# the options of each subcommand besides --out, which every one takes
+_COMMANDS = (
+    ("kernel", cmd_kernel, _SYMBOL + ("--K", "--tol-ratio", "--strict")),
+    ("classify", cmd_classify, _SYMBOL + ("--grid",)),
+    ("spectrum", cmd_spectrum, _SYMBOL + ("--grid", "--lambda", "--tol-curve", "--tol-moduli")),
+    ("probe", cmd_probe, _SYMBOL + ("--grid", "--N")),
+    ("index", cmd_index, _SYMBOL + ("--lambda", "--tol-curve", "--tol-degeneracy")),
+    ("validate", cmd_validate, ("--suite", "--seed")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergtoep",
         description="Bergman-space Toeplitz spectra: kernels, indices, regions.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_lambda=False):
-        p.add_argument("--family", type=_parse_family,
-                       help="inline family m=..,alpha=..,beta=..[,gamma=..]")
-        p.add_argument("--symbol",
-                       help="symbol JSON: inline text starting with {, or a file path")
-        p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="re0,re1,im0,im1,res")
-        p.add_argument("--K", type=int, default=20000)
-        p.add_argument("--N", type=int, default=128)
-        p.add_argument("--lambda", dest="lam", type=_parse_complex, default=None)
-        p.add_argument("--tol-ratio", type=float, default=1e-3)
-        p.add_argument("--tol-curve", type=float, default=1e-6)
-        p.add_argument("--tol-moduli", type=float, default=1e-6)
-        p.add_argument("--tol-degeneracy", type=float, default=1e-10)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true")
-
-    for name, fn in (("kernel", cmd_kernel), ("classify", cmd_classify),
-                     ("spectrum", cmd_spectrum), ("probe", cmd_probe),
-                     ("index", cmd_index)):
+    for name, fn, options in _COMMANDS:
         p = sub.add_parser(name)
-        common(p)
+        for flag in options + ("--out",):
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("validate")
-    common(p)
-    p.add_argument("--suite", default="all")
-    p.set_defaults(fn=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.K < 100:
-        parser.error("K must be at least 100")
-    for tol in (args.tol_ratio, args.tol_curve, args.tol_moduli, args.tol_degeneracy):
-        if not (math.isfinite(tol) and tol > 0):
-            parser.error("tolerances must be positive and finite")
     try:
         return args.fn(parser, args)
     except (spectrum.OnCurveError, spectrum.CurveResolutionError,

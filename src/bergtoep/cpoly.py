@@ -72,18 +72,14 @@ class CPoly:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
     def __call__(self, z: complex) -> complex:
-        return eval_poly(self, z)
+        """Horner evaluation at z."""
+        acc = 0j
+        for a in reversed(self.coeffs):
+            acc = acc * z + a
+        return acc
 
     def scale(self) -> float:
         return max(abs(c) for c in self.coeffs)
-
-
-def eval_poly(p: CPoly, z: complex) -> complex:
-    """Horner evaluation of p at z."""
-    acc = 0j
-    for a in reversed(p.coeffs):
-        acc = acc * z + a
-    return acc
 
 
 def eval_poly_many(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
@@ -321,8 +317,12 @@ class ZeroPattern(NamedTuple):
     in_disk: Optional[int]
 
     def distinct(self, rel_tol: float = 1e-6) -> bool:
-        """Pairwise distinct moduli (the Poincare condition); vacuous without zeros."""
-        return not self.roots or distinct_moduli(self.roots, rel_tol)
+        """Consecutive moduli more than rel_tol * the largest apart (the Poincare
+        condition); zeros all at 0 pass only alone, and no zeros pass vacuously."""
+        top = self.moduli[-1] if self.moduli else 0.0
+        if top == 0:
+            return len(self.moduli) <= 1
+        return all(b - a > rel_tol * top for a, b in zip(self.moduli, self.moduli[1:]))
 
     @property
     def circle_distance(self) -> float:
@@ -421,15 +421,3 @@ def schur_cohn(p: CPoly, degeneracy_tol: float = 1e-10) -> SchurCohnReport:
     if not 0 <= count <= n:
         raise NumericIntegrityError(f"zero count {count} outside [0, {n}]")
     return SchurCohnReport(tuple(dets), variations, count)
-
-
-def distinct_moduli(root_list: Sequence[complex], rel_tol: float = 1e-6) -> bool:
-    """True when all pairwise modulus gaps exceed rel_tol * max modulus."""
-    if len(root_list) == 0:
-        raise ValueError("empty root list")
-    mods = sorted(abs(z) for z in root_list)
-    top = mods[-1]
-    if top == 0:
-        return len(mods) == 1
-    return all(b - a > rel_tol * top for a, b in zip(mods, mods[1:]))
-

@@ -568,7 +568,7 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
             return [recursion_special_family(m, norm.alpha, norm.beta, j, k) for j in range(m)]
     else:
         m = sym.m
-        poly, per_zero = associated_poly(sym).poly, 1
+        poly, per_zero = associated_poly(sym), 1
 
         def run(k):
             return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]
@@ -667,36 +667,3 @@ def coburn_classify(m: int, n: int, c: complex) -> CoburnVerdict:
     if abs(c) < 1:
         return CoburnVerdict(m, 0)
     return CoburnVerdict(0, n)
-
-
-TRIVIAL_KERNEL_CERTIFIED = "trivial_kernel_certified"
-NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    status: str
-    poincare: bool
-    in_disk_count: Optional[int]
-    root_moduli: tuple[float, ...]
-
-
-def injectivity_test(sym: HarmonicPolySymbol, rel_tol: float = 1e-6,
-                     circle_tol: float = 1e-6) -> InjectivityReport:
-    """Certify ker T_phi = {0} from the associated polynomial phi_0.
-
-    The certificate requires phi_0 to have zeros of pairwise distinct
-    moduli and at least m of them inside the unit disk (all at a safe
-    distance from the circle).  Fewer than m interior zeros forces a
-    positive Fredholm index and hence a nontrivial kernel, so no
-    certificate is possible there; such symbols come back not_applicable.
-    Root-finder failure yields undecided.
-    """
-    try:
-        zp = _cp.zero_pattern(associated_poly(sym, 0j).poly, circle_tol)
-    except _cp.RootFindingError:
-        return InjectivityReport(UNDECIDED, False, None, ())
-    poincare = zp.distinct(rel_tol)
-    if poincare and zp.in_disk is not None and zp.in_disk >= sym.m:
-        return InjectivityReport(TRIVIAL_KERNEL_CERTIFIED, True, zp.in_disk, zp.moduli)
-    return InjectivityReport(NOT_APPLICABLE, poincare, zp.in_disk, zp.moduli)

@@ -36,8 +36,7 @@ import numpy as np
 from . import cpoly
 from .cpoly import CPoly
 from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, Symbol,
-                      associated_poly, boundary_curve, poincare_conditions,
-                      special_to_quadratic)
+                      associated_poly, boundary_curve, special_to_quadratic)
 
 
 class OnCurveError(Exception):
@@ -233,7 +232,6 @@ def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6,
 IN_ESSENTIAL = "in_essential"
 IN_BY_INDEX = "in_by_index"
 OUT_CERTIFIED = "out_certified"
-IN_BY_EIGENVALUE_UNRESOLVED = "in_by_eigenvalue_unresolved"
 ASSUMPTION_FAILED = "assumption_failed"
 
 
@@ -261,18 +259,20 @@ def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
     failed = [i for i, r in winds.items() if isinstance(r, Exception)]
     stop = min(failed, default=len(lams))
     zero = [i for i, r in winds.items() if i < stop and r.winding == 0]
-    checks = dict(zip(zero, poincare_conditions(sym, [lams[i] for i in zero], rel_tol)))
+    # the disk count goes unread, so the circle tolerance is 0
+    zps = dict(zip(zero, cpoly.zero_patterns(
+        [associated_poly(sym, lams[i]) for i in zero], 0.0)))
     if failed:
         raise winds[stop]
     verdicts = []
     for i, d in enumerate(dist):
         if i not in winds:
             verdicts.append(SpectrumVerdict(IN_ESSENTIAL, d))
-        elif i not in checks:
+        elif i not in zps:
             verdicts.append(SpectrumVerdict(IN_BY_INDEX, d, winds[i].winding))
         else:
-            status = OUT_CERTIFIED if checks[i].ok else ASSUMPTION_FAILED
-            verdicts.append(SpectrumVerdict(status, d, 0, checks[i].moduli))
+            status = OUT_CERTIFIED if zps[i].distinct(rel_tol) else ASSUMPTION_FAILED
+            verdicts.append(SpectrumVerdict(status, d, 0, zps[i].moduli))
     return verdicts
 
 
@@ -414,31 +414,3 @@ def classify_projective(m: int, alpha: complex, beta: complex, gamma: complex,
     agrees = (ineq_region == region) if ineq_region is not None else None
     checks = InequalityChecks(d0, cross, q, ineq_region, margin, agrees)
     return RegionVerdict(region, m * _REGION_INDEX[region], moduli, checks)
-
-
-@dataclass(frozen=True)
-class InvertibilityReport:
-    applicable: bool
-    invertible: Optional[bool]
-    in_disk_count: Optional[int]
-    root_moduli: tuple[float, ...]
-    poincare: bool
-    on_circle: bool
-
-
-def invertibility_criterion(sym: HarmonicPolySymbol, rel_tol: float = 1e-6,
-                            circle_tol: float = 1e-6) -> InvertibilityReport:
-    """Invertibility of T_phi from the zero pattern of phi_0.
-
-    Applicable when phi_0 has zeros of pairwise distinct moduli; then
-    T_phi is invertible exactly when phi_0 has m zeros in the disk and
-    none near the circle.  A zero within circle_tol of the circle is
-    returned as not-Fredholm evidence (invertible False, on_circle True).
-    """
-    zp = cpoly.zero_pattern(associated_poly(sym, 0j).poly, circle_tol)
-    if not zp.distinct(rel_tol):
-        return InvertibilityReport(False, None, None, zp.moduli, False, False)
-    if zp.in_disk is None:
-        return InvertibilityReport(True, False, None, zp.moduli, True, True)
-    return InvertibilityReport(True, zp.in_disk == sym.m, zp.in_disk, zp.moduli,
-                               True, False)

@@ -120,16 +120,6 @@ def zbar_power_plus(m: int, f_coeffs: Sequence[complex]) -> HarmonicPolySymbol:
     return HarmonicPolySymbol(m, (0j,) * (m - 1), tuple(f_coeffs) or (0j,))
 
 
-@dataclass(frozen=True)
-class AssociatedPoly:
-    poly: CPoly
-    lam: complex = 0j
-
-    def __post_init__(self):
-        if self.poly.coeffs[0] != 1:
-            raise ValueError("associated polynomial must have constant term 1")
-
-
 # roots of unity evaluated at a time: the finest curve a winding number
 # refines to (65536 samples) then takes a quarter of the temporary memory
 _CURVE_CHUNK = 1 << 14
@@ -146,7 +136,7 @@ def boundary_curve(sym: Symbol, samples: int) -> np.ndarray:
     return curve
 
 
-def associated_poly(sym: HarmonicPolySymbol, lam: complex = 0j) -> AssociatedPoly:
+def associated_poly(sym: HarmonicPolySymbol, lam: complex = 0j) -> CPoly:
     """The degree <= m+n polynomial phi_lam with phi - lam = phi_lam/z^m on |z|=1."""
     m, n = sym.m, sym.n
     cs = [0j] * (m + n + 1)
@@ -156,7 +146,7 @@ def associated_poly(sym: HarmonicPolySymbol, lam: complex = 0j) -> AssociatedPol
     cs[m] = sym.ana[0] - lam
     for i in range(1, n + 1):
         cs[m + i] = sym.ana[i]
-    return AssociatedPoly(CPoly.make(cs), complex(lam))
+    return CPoly.make(cs)
 
 
 def special_to_quadratic(sym: SpecialFamilySymbol, lam: complex = 0j) -> CPoly:
@@ -170,30 +160,6 @@ def special_to_quadratic(sym: SpecialFamilySymbol, lam: complex = 0j) -> CPoly:
     if p.is_zero:
         raise ValueError("phi - lam vanishes identically on the circle")
     return p
-
-
-@dataclass(frozen=True)
-class PoincareCheck:
-    ok: bool
-    moduli: tuple[float, ...]
-
-
-def poincare_conditions(sym: HarmonicPolySymbol, lams: Sequence[complex],
-                        rel_tol: float = 1e-6) -> list[PoincareCheck]:
-    """poincare_condition() at each lam, the roots found together."""
-    zps = cpoly.zero_patterns([associated_poly(sym, lam).poly for lam in lams],
-                              0.0)  # disk count unread
-    return [PoincareCheck(zp.distinct(rel_tol), zp.moduli) for zp in zps]
-
-
-def poincare_condition(sym: HarmonicPolySymbol, lam: complex = 0j,
-                       rel_tol: float = 1e-6) -> PoincareCheck:
-    """Whether phi_lam has zeros with pairwise distinct moduli.
-
-    Degree zero (no zeros at all) passes vacuously.  The sorted root
-    moduli are returned as evidence.
-    """
-    return poincare_conditions(sym, [lam], rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
-from bergtoep import finsect, kernel, oracles, spectrum
+from bergtoep import cpoly, finsect, kernel, oracles, spectrum
 from bergtoep.kernel import coburn_classify, l2_membership, recursion_general
 from bergtoep.odekernel import OdeKernelBasis, residual_check
 from bergtoep.spectrum import classify_projective, winding_of_symbol
-from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol
+from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, associated_poly
 
 
 def _report(num, name, detail=""):
@@ -183,9 +183,9 @@ def test_criterion_6_injectivity_evidence():
         roots = mods * np.exp(2j * np.pi * gen.uniform(size=m + n))
         sym = _sym_from_phi0_roots(m, n, list(roots))
 
-        chk = kernel.injectivity_test(sym)
-        assert chk.poincare
-        assert chk.in_disk_count == z
+        zp = cpoly.zero_pattern(associated_poly(sym), 1e-6)
+        assert zp.distinct()
+        assert zp.in_disk == z
 
         for j in range(m):
             seed = [0j] * m

@@ -186,7 +186,7 @@ class TestSpectrumCommand:
                                  (-0.08106802381256345 - 0.016264343559017222j,
                                   -0.004613585391453584 - 0.01705016886484145j))
         lam = -2.860655133842755 - 2.6035714933550804j
-        mods = np.abs(np.roots(associated_poly(sym, lam).poly.coeffs[::-1]))
+        mods = np.abs(np.roots(associated_poly(sym, lam).coeffs[::-1]))
         assert np.sum(mods < 1) == sym.m and 200 < mods.max() < 230
         rc = run(["spectrum", "--symbol", json.dumps(to_json(sym)), f"--lambda={lam!r}"])
         assert rc == 0
@@ -369,6 +369,21 @@ class TestConfigValidation:
             run(argv)
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--family", "m=1,alpha=0.5", "--grid=-1,1,-1,1,16"],
+        ["classify", "--family", "m=1,alpha=0.5", "--lambda", "1"],
+        ["spectrum", "--family", "m=1,alpha=0.5", "--lambda", "1", "--K", "500"],
+        ["probe", "--family", "m=1,alpha=0.5", "--grid=-1,1,-1,1,16", "--K", "500"],
+        ["index", "--family", "m=1,alpha=0.5", "--lambda", "0", "--tol-ratio", "1e-3"],
+        ["validate", "--suite", "quick", "--N", "64"],
+    ])
+    def test_unread_option_rejected(self, capsys, argv):
+        # each subcommand declares only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --" in capsys.readouterr().err
 
     def test_small_K_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bergtoep import cpoly, kernel, spectrum
-from bergtoep.cpoly import CPoly
-from bergtoep.symbols import PoincareCheck, poincare_condition, zbar_power_plus
+from bergtoep import cpoly, spectrum
+from bergtoep.cpoly import CPoly, ZeroPattern
+from bergtoep.symbols import associated_poly, zbar_power_plus
 
 
 def rng():
@@ -183,19 +183,24 @@ class TestSchurCohn:
                 assert m2 == pytest.approx(m1 * abs(c) ** (2 * k), rel=1e-9, abs=1e-12)
 
 
+def pattern(roots):
+    """The ZeroPattern of these roots; distinct() does not read the disk count."""
+    return ZeroPattern(tuple(roots), tuple(sorted(map(abs, roots))), None)
+
+
 class TestDistinctModuli:
     def test_equal_moduli(self):
-        assert not cpoly.distinct_moduli([1j, -1j])
+        assert not pattern([1j, -1j]).distinct()
 
     def test_separated(self):
-        assert cpoly.distinct_moduli([0.5, 2.0])
+        assert pattern([0.5, 2.0]).distinct()
 
     def test_within_tolerance(self):
-        assert not cpoly.distinct_moduli([1.0, 1.0000001], rel_tol=1e-3)
+        assert not pattern([1.0, 1.0000001]).distinct(rel_tol=1e-3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cpoly.distinct_moduli([])
+        # without zeros the condition holds vacuously
+        assert pattern([]).distinct()
 
 
 class TestZeroPattern:
@@ -248,11 +253,8 @@ class TestZeroPattern:
         # conj(z): phi_0 = 1 has no zeros, and every caller answers as its
         # former degree-0 branch did
         sym = zbar_power_plus(1, [])
-        assert kernel.injectivity_test(sym) == kernel.InjectivityReport(
-            kernel.NOT_APPLICABLE, True, 0, ())
-        assert spectrum.invertibility_criterion(sym) == spectrum.InvertibilityReport(
-            True, False, 0, (), True, False)
-        assert poincare_condition(sym) == PoincareCheck(True, ())
+        zp = cpoly.zero_pattern(associated_poly(sym), 0.0)
+        assert zp == ((), (), 0) and zp.distinct()
         v = spectrum.classify_projective(2, 0, 0, 0.5j)
         assert v.region == spectrum.OMEGA0 and v.root_moduli == (np.inf, np.inf)
 

@@ -5,8 +5,7 @@ import pytest
 
 from bergtoep import cpoly, finsect, kernel, spectrum
 from bergtoep.kernel import (CoefficientStream, closed_form_kernel_czn,
-                             coburn_classify, injectivity_test,
-                             kernel_dimension, l2_membership,
+                             coburn_classify, kernel_dimension, l2_membership,
                              recursion_general, recursion_special_family)
 from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus
 
@@ -411,52 +410,6 @@ class TestCoburn:
         v = coburn_classify(m, n, c)
         assert (v.dim_ker, v.dim_coker) == want
         assert v.coburn
-
-
-class TestInjectivity:
-    def test_verdict_follows_root_oracle(self):
-        # conj(z) + 2z + 0.3 z^2: phi_0 = 1 + 2z^2 + 0.3z^3 has a conjugate
-        # root pair of equal modulus, so the hypotheses fail
-        sym = HarmonicPolySymbol(1, (), (0, 2, 0.3))
-        rep = injectivity_test(sym)
-        assert rep.status == kernel.NOT_APPLICABLE
-        assert not rep.poincare
-
-    def test_certificate_granted(self):
-        # phi_0 = 1 + 2z: single root -1/2 inside the disk
-        sym = zbar_power_plus(1, [2.0])
-        rep = injectivity_test(sym)
-        assert rep.status == kernel.TRIVIAL_KERNEL_CERTIFIED
-        assert rep.in_disk_count == 1
-
-    def test_certificate_complex_roots(self):
-        # phi_0 = (1 - z/0.4)(1 - z/(0.8j)): roots 0.4 and 0.8j, both inside,
-        # distinct moduli
-        c1 = -1 / 0.4 - 1 / 0.8j
-        c2 = (1 / 0.4) * (1 / 0.8j)
-        sym = HarmonicPolySymbol(1, (), (c1, c2))
-        rep = injectivity_test(sym)
-        assert rep.status == kernel.TRIVIAL_KERNEL_CERTIFIED
-        assert rep.in_disk_count == 2
-
-    def test_no_root_inside(self):
-        sym = zbar_power_plus(2, [0.5])  # phi_0 = 1 + 0.5 z^2, roots outside
-        rep = injectivity_test(sym)
-        assert rep.status == kernel.NOT_APPLICABLE
-
-    def test_poincare_fails(self):
-        sym = HarmonicPolySymbol(1, (), (0, 1))
-        rep = injectivity_test(sym)
-        assert rep.status == kernel.NOT_APPLICABLE
-        assert not rep.poincare
-
-    def test_positive_index_blocks_certificate(self):
-        # phi_0 = (1 - 2z)(1 - z/2) has one zero in the disk but m = 2,
-        # so the Fredholm index is positive and a certificate is impossible
-        sym = HarmonicPolySymbol(2, (-2.5 + 0j,), (1.0,))
-        rep = injectivity_test(sym)
-        assert rep.status == kernel.NOT_APPLICABLE
-        assert rep.poincare and rep.in_disk_count == 1
 
 
 class TestStreamPlumbing:

@@ -3,12 +3,11 @@ import pytest
 
 from bergtoep import cpoly, spectrum
 from bergtoep.spectrum import (OnCurveError, classify_projective,
-                               curve_distance, fredholm_index,
-                               invertibility_criterion, special_family_region,
+                               curve_distance, fredholm_index, special_family_region,
                                spectrum_membership, winding_number,
                                winding_of_symbol)
-from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, boundary_curve,
-                              zbar_power_plus)
+from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
+                              boundary_curve, zbar_power_plus)
 
 
 def circle(samples=256):
@@ -226,38 +225,6 @@ class TestClassifyProjective:
         assert v.region == spectrum.NOT_FREDHOLM
 
 
-class TestInvertibility:
-    def test_large_constant_invertible(self):
-        sym = zbar_power_plus(1, [2.0])  # phi_0 = 1 + 2z, root -1/2 inside
-        rep = invertibility_criterion(sym)
-        assert rep.applicable and rep.invertible
-
-    def test_small_constant_not_invertible(self):
-        sym = zbar_power_plus(1, [0.5])
-        rep = invertibility_criterion(sym)
-        assert rep.applicable and rep.invertible is False
-        assert rep.in_disk_count == 0
-
-    def test_root_on_circle_flagged(self):
-        sym = zbar_power_plus(1, [1.0])  # phi_0 = 1 + z, root on the circle
-        rep = invertibility_criterion(sym)
-        assert rep.on_circle and rep.invertible is False
-
-    def test_agrees_with_membership(self):
-        gen = np.random.default_rng(40)
-        for _ in range(25):
-            sym = HarmonicPolySymbol(1, (), (complex(*gen.uniform(-2, 2, 2)),
-                                             complex(*gen.uniform(-2, 2, 2))))
-            rep = invertibility_criterion(sym)
-            if not rep.applicable or rep.on_circle:
-                continue
-            v = spectrum_membership(sym, 0)
-            if v.status == spectrum.OUT_CERTIFIED:
-                assert rep.invertible
-            elif v.status == spectrum.IN_BY_INDEX:
-                assert not rep.invertible
-
-
 class TestWindingZeroCountIdentity:
     def test_random_family(self):
         gen = np.random.default_rng(77)
@@ -386,14 +353,15 @@ class TestMembershipGrid:
         unresolved = 4.470470381272609 + 6.146630148753228j
         far = 40 + 40j
         assert spectrum_membership(sym, far).winding == 0
-        conditions = spectrum.poincare_conditions
+        patterns = cpoly.zero_patterns
+        at_far = associated_poly(sym, far)
 
-        def failing(sym, lams, rel_tol):
-            if far in lams:
+        def failing(polys, circle_tol):
+            if at_far in polys:
                 raise cpoly.RootFindingError("at far")
-            return conditions(sym, lams, rel_tol)
+            return patterns(polys, circle_tol)
 
-        monkeypatch.setattr(spectrum, "poincare_conditions", failing)
+        monkeypatch.setattr(cpoly, "zero_patterns", failing)
         # 5e-10 from a curve sample: off the curve at curve_tol 1e-12, but too
         # close for a winding number
         on_sample = complex(boundary_curve(sym, 512)[7]) + 5e-10

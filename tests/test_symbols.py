@@ -6,8 +6,7 @@ import pytest
 from bergtoep import cpoly, symbols
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol,
                               associated_poly, boundary_curve,
-                              poincare_condition, special_to_quadratic,
-                              zbar_power_plus)
+                              special_to_quadratic, zbar_power_plus)
 
 
 def random_symbol(gen, max_m=3, max_n=3):
@@ -44,20 +43,20 @@ class TestBoundaryCurve:
 class TestAssociatedPoly:
     def test_cos_symbol(self):
         sym = HarmonicPolySymbol(1, (), (0, 1))
-        phi = associated_poly(sym, 0).poly
+        phi = associated_poly(sym, 0)
         assert phi.coeffs == (1 + 0j, 0j, 1 + 0j)
 
     def test_pure_zbar(self):
         for m in (1, 2, 3):
             sym = zbar_power_plus(m, [])
-            phi = associated_poly(sym, 0.7).poly
+            phi = associated_poly(sym, 0.7)
             want = [1 + 0j] + [0j] * (m - 1) + [-0.7 + 0j]
             assert phi.coeffs == tuple(want)
 
     def test_constant_perturbation(self):
         c = 0.4 + 0.2j
         sym = zbar_power_plus(1, [c])
-        phi = associated_poly(sym, 0.1).poly
+        phi = associated_poly(sym, 0.1)
         assert phi.coeffs == (1 + 0j, c - 0.1)
 
     def test_constant_term_always_one(self):
@@ -65,7 +64,7 @@ class TestAssociatedPoly:
         for _ in range(50):
             sym = random_symbol(gen)
             lam = complex(*gen.uniform(-2, 2, 2))
-            assert associated_poly(sym, lam).poly.coeffs[0] == 1
+            assert associated_poly(sym, lam).coeffs[0] == 1
 
     def test_circle_identity(self):
         # phi(z) - lam = phi_lam(z)/z^m on the unit circle
@@ -74,7 +73,7 @@ class TestAssociatedPoly:
         for _ in range(50):
             sym = random_symbol(gen)
             lam = complex(*gen.uniform(-2, 2, 2))
-            phi = associated_poly(sym, lam).poly
+            phi = associated_poly(sym, lam)
             lhs = sym.eval(z) - lam
             rhs = cpoly.eval_poly_many(phi.coeffs, z) / z**sym.m
             scale = max(np.max(np.abs(rhs)), 1.0)
@@ -126,22 +125,26 @@ class TestSpecialToQuadratic:
                     assert abs(fullp(z)) <= 1e-8 * fullp.scale() * max(1.0, abs(z)) ** (2 * m)
 
 
+def poincare(sym, lam):
+    return cpoly.zero_pattern(associated_poly(sym, lam), 0.0)
+
+
 class TestPoincareCondition:
     def test_equal_moduli_fails(self):
         sym = HarmonicPolySymbol(1, (), (0, 1))
-        chk = poincare_condition(sym, 0)
-        assert not chk.ok
-        assert chk.moduli == pytest.approx((1.0, 1.0))
+        zp = poincare(sym, 0)
+        assert not zp.distinct()
+        assert zp.moduli == pytest.approx((1.0, 1.0))
 
     def test_vacuous_degree_zero(self):
-        chk = poincare_condition(zbar_power_plus(1, []), 0)
-        assert chk.ok and chk.moduli == ()
+        zp = poincare(zbar_power_plus(1, []), 0)
+        assert zp.distinct() and zp.moduli == ()
 
     def test_scaled_equal_moduli(self):
         sym = HarmonicPolySymbol(1, (), (0, 2))
-        chk = poincare_condition(sym, 0)
-        assert not chk.ok
-        assert chk.moduli == pytest.approx((2 ** -0.5, 2 ** -0.5))
+        zp = poincare(sym, 0)
+        assert not zp.distinct()
+        assert zp.moduli == pytest.approx((2 ** -0.5, 2 ** -0.5))
 
 
 class TestValidation:
