@@ -456,12 +456,12 @@ _COMMANDS = (
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="bergtoep",
+        prog="bergtoep", allow_abbrev=False,
         description="Bergman-space Toeplitz spectra: kernels, indices, regions.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, options in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag in options + ("--out",):
             p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(fn=fn)

@@ -14,7 +14,12 @@ phi = conj(z)^m + f (q = z^m, every anti_i zero) it is
     d_{m+k} = -((m+1+k)/(k+1)) * sum_{i=0}^{k} a_{k-i} d_i,    k >= 0,
 
 and kernel_dimension takes (m, f) as shorthand for zbar_power_plus(m, f),
-so one recursion serves both.  Membership of the resulting power series
+so one recursion serves both.  d_{m+k} reads d_{m+k-i} (anti_i != 0) and
+d_{k-i} (a_i != 0) only, so the positions split into residue classes mod
+the gcd g of the shifts i and m + i (g = m + n for conj(z)^m + c z^n),
+each a recursion of its own.  A unit seed lies in one class, and only that
+class is computed; every other entry is the signed zero the full
+recursion computes from zeros.  Membership of the resulting power series
 in the Bergman space is decided from the asymptotics of the recursion: the
 coefficient functions converge, so consecutive-term ratios stabilize at a
 characteristic root (the reciprocals of the associated-polynomial zeros),
@@ -60,6 +65,7 @@ the verdicts at K and K/2 to agree.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -240,6 +246,19 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
 
     zbar_power_plus(m, f) gives the recursion for conj(z)^m + f.  The seed
     must be finite.
+
+    d_p reads d_{p-i} for anti_i != 0 and d_{p-m-i} for a_i != 0, so with g
+    the gcd of these shifts each residue class mod g recurs on its own.
+    When every nonzero seed slot lies in one class r, only the positions
+    p = r (mod g) are computed.  At any other position the full recursion
+    reads zeros alone: its sums start at 0j and gain only zero terms, so
+    they stay 0j, and -(p + 1) * 0j is one signed zero for every p
+    (complex(-0.0, 0.0) on CPython 3.11).  Those entries hold that zero (the
+    seed's own zero below m) and log magnitude -inf.  The block bookkeeping
+    stays positional: a block that closes on a skipped position, after the
+    last computed entry too, rescales there, so the stream is bitwise that
+    of the full recursion.  With g = 1, a seed over several classes, or no
+    shifts at all (conj(z)^m alone) every position is computed.
     """
     m, n = sym.m, sym.n
     if len(seed) != m:
@@ -256,16 +275,44 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     # most (m + K + 1) * size * hard <= 1e300: large coefficients lower it
     size = sum(abs(c) for _, c in anti) + sum(abs(a) for _, a in ana)
     hard = min(_HARD_LIMIT, max(1.0, 1e300 / ((m + K + 1) * max(size, 1.0))))
-    vals: list[complex] = []
-    mods: list[float] = []              # moduli at creation, for the log magnitudes
+    # the shifts the recursion reads back by, and the seed's class mod their gcd
+    g = math.gcd(*(m - off for off, _ in anti), *(m + i for i, _ in ana))
+    classes = {j % g for j, v in enumerate(seed) if v} if g > 1 else ()
+    stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
+    # the full recursion's value at a skipped position, by its own expression,
+    # so it follows this interpreter's int-by-complex rounding
+    zero = -(m + 1) * (0j + 0j / 1)
+    vals = seed + [zero] * (K + 1 - m)  # positional: entries are written in place
+    mods = [0.0] * (K + 1)              # moduli at creation, for the log magnitudes
     owed: list[tuple[int, float]] = []  # (cut, factor): entries below cut owe factor
     scale_from = [(0, 0.0)]             # (first index, log scale in force)
-    scale, since, blockmax = 0.0, 0, 0.0
-    # k = -m..-1 places the seed (seed[k] is d_{m+k}), k >= 0 computes d_{m+k}
-    for k in range(-m, K - m + 1):
-        if k < 0:
-            v = seed[k]
+    scale, blockmax, mod = 0.0, 0.0, 0.0
+    bend = _BLOCK - 1                   # the position that closes the current block
+    # the class positions, then K + 1 to close the blocks that end after the last
+    for p in itertools.chain(range(r, K + 1, stride), (K + 1,)):
+        # each block end before p, at an entry or a skipped position, rescales
+        # when blockmax passed the limit; an entry past `hard` closes its block
+        while bend < p:
+            if mod > hard or blockmax > _BLOCK_LIMIT:
+                # divide by blockmax: the window now, older entries when finished
+                end = bend + 1
+                shift = math.log(blockmax)
+                f = math.exp(-shift)
+                cut = max(end - window, 0)
+                vals[cut:end] = [x * f for x in vals[cut:end]]
+                if cut:
+                    owed.append((cut, f))
+                scale += shift
+                scale_from.append((end, scale))
+                blockmax = 1.0
+                mod = 0.0
+            bend += _BLOCK
+        if p > K:
+            break
+        if p < m:
+            v = seed[p]
         else:
+            k = p - m
             s = 0j
             for off, c in anti:
                 s += c * vals[off + k] / (off + k + 1)
@@ -273,27 +320,14 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
             for i, a in ana:
                 if i <= k:
                     t += a * vals[k - i]
-            v = -(m + k + 1) * (s + t / (k + 1))
+            v = -(p + 1) * (s + t / (k + 1))
         mod = abs(v)
-        vals.append(v)
-        mods.append(mod)
+        vals[p] = v
+        mods[p] = mod
         if mod > blockmax:
             blockmax = mod
-        since += 1
-        if mod > hard or (since >= _BLOCK and blockmax > _BLOCK_LIMIT):
-            # divide by blockmax: the window now, older entries when finished
-            shift = math.log(blockmax)
-            f = math.exp(-shift)
-            cut = max(len(vals) - window, 0)
-            vals[cut:] = [x * f for x in vals[cut:]]
-            if cut:
-                owed.append((cut, f))
-            scale += shift
-            scale_from.append((len(vals), scale))
-            blockmax = 1.0
-            since = 0
-        elif since >= _BLOCK:
-            since = 0
+        if mod > hard:
+            bend = p
     mant = np.array(vals, dtype=complex)
     _apply_owed(mant, owed)
     starts, scales = zip(*scale_from)

@@ -385,6 +385,13 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert "error: unrecognized arguments: --" in capsys.readouterr().err
 
+    def test_abbreviated_option_rejected(self, capsys):
+        # --tol would otherwise expand to kernel's only --tol-* option
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", "--family", "m=1,alpha=0.5", "--tol", "0.5", "--K", "200"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+
     def test_small_K_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run(["kernel", "--family", "m=1,alpha=0,beta=0", "--K", "10"])

@@ -6,9 +6,12 @@ its scale, as the generators once did.  The generators in
 ``bergtoep.kernel`` rescale only the recursion's lookback window and
 apply the owed factors once, when the stream is finished; they must give
 byte-identical streams and CSV files (zero signs included) on a seeded
-corpus that exercises every rescale path.
+corpus that exercises every rescale path.  recursion_general runs only the
+seed's residue class when the recursion splits into classes; the reference
+runs every position, so the skipped positions are checked as well.
 """
 
+import cmath
 import math
 from typing import Optional
 
@@ -27,7 +30,7 @@ _HARD_LIMIT = 1e250
 class RefStreamBuilder:
     """Block renormalization that rescales every stored entry."""
 
-    events = {"block": 0, "hard": 0, "shrink": 0}
+    events = {"block": 0, "hard": 0, "shrink": 0, "zero": 0}
 
     def __init__(self, stride: int):
         self.vals: list[complex] = []
@@ -47,6 +50,8 @@ class RefStreamBuilder:
         self._since += 1
         if a > _HARD_LIMIT or (self._since >= _BLOCK and self._blockmax > _BLOCK_LIMIT):
             self.events["hard" if a > _HARD_LIMIT else "block"] += 1
+            if a == 0.0:   # a block closed on a zero (skipped) entry
+                self.events["zero"] += 1
             self._rescale()
         elif self._since >= _BLOCK:
             self._since = 0
@@ -212,6 +217,23 @@ def _corpus():
     # growth of 1e6 per term passes the hard limit inside one block
     cases.append(("hard", lambda: kernel.recursion_general(zbar_power_plus(1, [1e6]), [1.0], 600),
                   lambda: ref_general(zbar_power_plus(1, [1e6]), [1.0], 600)))
+    w = cmath.exp(0.7j)
+    split = [
+        # g = 2, seed class 0: the blocks close on odd, skipped positions
+        (zbar_power_plus(1, [0, 3 * w]), [1.0], K),
+        # ... and K = 1535 closes a block among the last, skipped positions
+        (zbar_power_plus(1, [0, 3 * w]), [1.0], 1535),
+        # hard-limit rescales between skipped positions
+        (zbar_power_plus(1, [0, 1e6 * w]), [1.0], 600),
+        # an anti term on the gcd: conj(z)^4 + a conj(z)^2 + ..., g = 2
+        (HarmonicPolySymbol(4, (0, 0.5 * w, 0), (3 * w, 0, 2.0)), [1, 0, 0, 0], K),
+        # g = 2 < m = 4: the zero seed slot 3 lies in slot 1's class
+        (zbar_power_plus(4, [2 * w, 0, 3.0]), [0, 1, 0, 0], K),
+        # a seed over two classes of g = 4 runs every position
+        (zbar_power_plus(2, [0, 0, 3 * w]), [1.0, 0.5], K),
+    ]
+    cases += [("split", lambda s=sym, d=seed, k=k: kernel.recursion_general(s, d, k),
+               lambda s=sym, d=seed, k=k: ref_general(s, d, k)) for sym, seed, k in split]
     return cases
 
 
@@ -226,7 +248,7 @@ def _same(a: CoefficientStream, b: CoefficientStream) -> bool:
 
 
 def test_streams_byte_identical_to_reference(tmp_path):
-    RefStreamBuilder.events.update(block=0, hard=0, shrink=0)
+    RefStreamBuilder.events.update(block=0, hard=0, shrink=0, zero=0)
     underflowed = 0
     mismatched = []
     for idx, (name, new, ref) in enumerate(CORPUS):
@@ -243,6 +265,7 @@ def test_streams_byte_identical_to_reference(tmp_path):
     # the corpus reaches every rescale path and the zero-mantissa case
     events = RefStreamBuilder.events
     assert events["block"] > 0 and events["hard"] > 0 and events["shrink"] > 0
+    assert events["zero"] > 0
     assert underflowed > 0
 
 
