@@ -17,9 +17,8 @@ from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,
                      recursion_general, recursion_special_family)
 from .odekernel import OdeKernelBasis, residual_check, taylor_coefficients
 from .spectrum import (RegionVerdict, SpectrumVerdict, WindingResult,
-                       classify_projective, curve_distance, fredholm_index,
-                       membership_grid, special_family_region, spectrum_membership,
-                       winding_number, winding_of_symbol)
+                       classify_projective, curve_windings, fredholm_index,
+                       membership_grid, special_family_region)
 from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                       boundary_curve, special_to_quadratic, zbar_power_plus)
 

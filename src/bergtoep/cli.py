@@ -377,8 +377,7 @@ def cmd_index(parser, args) -> int:
         parser.error("index needs --lambda")
     config = {"symbol": symbols.to_json(sym), "lambda": args.lam}
     try:
-        idx = spectrum.fredholm_index(sym, args.lam, curve_tol=args.tol_curve,
-                                      degeneracy_tol=args.tol_degeneracy)
+        idx = spectrum.fredholm_index(sym, args.lam, curve_tol=args.tol_curve)
     except spectrum.OnCurveError as exc:
         print(f"not Fredholm: {exc}")
         return 1
@@ -434,7 +433,6 @@ _OPTIONS = {
     "--tol-ratio": dict(type=_parse_tol, default=1e-3),
     "--tol-curve": dict(type=_parse_tol, default=1e-6),
     "--tol-moduli": dict(type=_parse_tol, default=1e-6),
-    "--tol-degeneracy": dict(type=_parse_tol, default=1e-10),
     "--strict": dict(action="store_true"),
     "--suite": dict(choices=tuple(_SUITES), default="all"),
     "--seed": dict(type=int, default=0),
@@ -449,7 +447,7 @@ _COMMANDS = (
     ("classify", cmd_classify, _SYMBOL + ("--grid",)),
     ("spectrum", cmd_spectrum, _SYMBOL + ("--grid", "--lambda", "--tol-curve", "--tol-moduli")),
     ("probe", cmd_probe, _SYMBOL + ("--grid", "--N")),
-    ("index", cmd_index, _SYMBOL + ("--lambda", "--tol-curve", "--tol-degeneracy")),
+    ("index", cmd_index, _SYMBOL + ("--lambda", "--tol-curve")),
     ("validate", cmd_validate, ("--suite", "--seed")),
 )
 

@@ -179,9 +179,11 @@ def _newton_polish(desc: np.ndarray, roots: np.ndarray, rounds: int = 2) -> np.n
     return z
 
 
-# normwise backward error accepted by roots().  Horner's rule alone may
-# leave n eps of it at degree n (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., sec. 5.1); np.roots reached 31 eps on
+# residual |p(z)| / max|a_k| that roots() accepts at every root
+RESIDUAL_TOL = 1e-9
+# normwise backward error that roots() accepts otherwise.  Horner's rule
+# alone may leave n eps of it at degree n (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., sec. 5.1); np.roots reached 31 eps on
 # Gaussian polynomials of degree <= 12
 BACKWARD_ERROR_TOL = 64 * np.finfo(float).eps
 
@@ -197,8 +199,8 @@ def _residual(desc, zs, reverse) -> np.ndarray:
     return np.abs(_horner_with_derivative(_spread(desc), _back(zs, reverse))[0]).max(axis=1)
 
 
-def _accepted(desc, work, zs, reverse, tol) -> np.ndarray:
-    ok = _residual(desc, zs, reverse) <= tol
+def _accepted(desc, work, zs, reverse) -> np.ndarray:
+    ok = _residual(desc, zs, reverse) <= RESIDUAL_TOL
     if not ok.all():
         # the backward error is the same for work at zs as for p at
         # _back(zs), and evaluating work cannot overflow
@@ -208,7 +210,7 @@ def _accepted(desc, work, zs, reverse, tol) -> np.ndarray:
     return ok
 
 
-def _solve_degree(norms: list[list[complex]], tol: float) -> list:
+def _solve_degree(norms: list[list[complex]]) -> list:
     """Roots of scale-normalized polynomials of one degree >= 3 (ascending
     coefficients), or the RootFindingError of each that fails."""
     deg = len(norms[0]) - 1
@@ -221,15 +223,15 @@ def _solve_degree(norms: list[list[complex]], tol: float) -> list:
     cand, finite = _aberth(work)
     cand[finite] = _newton_polish(work[finite], cand[finite])
     ok = np.zeros(len(norms), dtype=bool)
-    ok[finite] = _accepted(desc[finite], work[finite], cand[finite], reverse[finite], tol)
+    ok[finite] = _accepted(desc[finite], work[finite], cand[finite], reverse[finite])
     failed = {}
     for i in np.flatnonzero(~ok):
         # companion-matrix fallback, one polynomial at a time
         one = slice(i, i + 1)
         cand[one] = _newton_polish(work[one], np.asarray(np.roots(work[i]), dtype=complex)[None])
-        if not _accepted(desc[one], work[one], cand[one], reverse[one], tol)[0]:
+        if not _accepted(desc[one], work[one], cand[one], reverse[one])[0]:
             failed[i] = RootFindingError(
-                f"degree {deg} roots fail the residual tol {tol:.3e} (residual "
+                f"degree {deg} roots fail the residual tol {RESIDUAL_TOL:.3e} (residual "
                 f"{_residual(desc[one], cand[one], reverse[one])[0]:.3e}) and the "
                 f"backward error test")
     found = _back(cand, reverse)
@@ -241,10 +243,10 @@ def _solve_degree(norms: list[list[complex]], tol: float) -> list:
 _LANE_BLOCK = 1024
 
 
-def roots_many(polys: Sequence[CPoly], tol: float = 1e-9) -> list[list[complex]]:
+def roots_many(polys: Sequence[CPoly]) -> list[list[complex]]:
     """All roots of each polynomial with multiplicity, sorted by (modulus, argument).
 
-    From degree 3 on, a root set is accepted when |p(z)| <= tol * max|a_k|
+    From degree 3 on, a root set is accepted when |p(z)| <= RESIDUAL_TOL * max|a_k|
     at every root, or else when every root has normwise backward error
     |p(z)| / sum |a_k| |z|^k <= BACKWARD_ERROR_TOL (good roots of large
     modulus fail the absolute test).  Aberth roots that fail both tests
@@ -286,7 +288,7 @@ def roots_many(polys: Sequence[CPoly], tol: float = 1e-9) -> list[list[complex]]
         lanes = list(group)
         for start in range(0, len(lanes), _LANE_BLOCK):
             block = lanes[start:start + _LANE_BLOCK]
-            for i, res in zip(block, _solve_degree([group[i] for i in block], tol)):
+            for i, res in zip(block, _solve_degree([group[i] for i in block])):
                 if isinstance(res, Exception):
                     errors[i] = res
                 else:
@@ -298,10 +300,10 @@ def roots_many(polys: Sequence[CPoly], tol: float = 1e-9) -> list[list[complex]]
     return found
 
 
-def roots(p: CPoly, tol: float = 1e-9) -> list[complex]:
+def roots(p: CPoly) -> list[complex]:
     """All roots of p with multiplicity, sorted by (modulus, argument);
     see roots_many for the acceptance tests."""
-    return roots_many([p], tol)[0]
+    return roots_many([p])[0]
 
 
 class ZeroPattern(NamedTuple):
@@ -379,11 +381,15 @@ class SchurCohnReport:
         return self.in_disk_count is None
 
 
-def schur_cohn(p: CPoly, degeneracy_tol: float = 1e-10) -> SchurCohnReport:
+# |M_k| / scale^(2k) at or below which schur_cohn's count is indeterminate
+_DEGENERACY_TOL = 1e-10
+
+
+def schur_cohn(p: CPoly) -> SchurCohnReport:
     """Count zeros of p inside the unit disk by the determinant test.
 
     The reported M_k come from the raw coefficients; the degeneracy test
-    divides M_k by scale^(2k) with scale = max|a_j|, so degeneracy_tol is
+    divides M_k by scale^(2k) with scale = max|a_j|, so _DEGENERACY_TOL is
     an absolute threshold on coefficient-normalized polynomials and the
     verdict is invariant under scaling p by a nonzero constant.
     """
@@ -414,7 +420,7 @@ def schur_cohn(p: CPoly, degeneracy_tol: float = 1e-10) -> SchurCohnReport:
         dets.append(det.real)
 
     variations = sign_variations([1.0] + dets)
-    if any(abs(m) / scale ** (2 * k) <= degeneracy_tol
+    if any(abs(m) / scale ** (2 * k) <= _DEGENERACY_TOL
            for k, m in enumerate(dets, start=1)):
         return SchurCohnReport(tuple(dets), variations, None)
     count = n - variations

@@ -441,13 +441,13 @@ NON_FINITE = "non_finite"
 _R_CONVERGENT = 0.9
 _R_DIVERGENT = 1.1
 _TAIL_NEGLIGIBLE = 1e-9
+_TAIL_WINDOW = 32
 
 
-def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
-                  tail_window: int = 32) -> MembershipVerdict:
+def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3) -> MembershipVerdict:
     """Decide square-summability of the stream in the Bergman norm.
 
-    Protocol: if the trailing `tail_window` stride ratios have relative
+    Protocol: if the trailing _TAIL_WINDOW stride ratios have relative
     modulus spread below ratio_tol and their common modulus rho (per index
     step) is outside the band [1-ratio_tol, 1+ratio_tol], the ratio
     decides.  Otherwise partial sums decide: a negligible relative tail
@@ -471,8 +471,8 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3,
     with np.errstate(invalid="ignore"):
         dl = lm[s:] - lm[:-s]
     ks = np.nonzero(np.isfinite(dl))[0]
-    if len(ks) >= tail_window and ks[-1] >= K - 3 * s:
-        win = dl[ks[-tail_window:]]
+    if len(ks) >= _TAIL_WINDOW and ks[-1] >= K - 3 * s:
+        win = dl[ks[-_TAIL_WINDOW:]]
         spread = -np.expm1(float(win.min() - win.max()))
         if spread < ratio_tol:
             rho = math.exp(float(np.mean(win)) / s)
@@ -554,8 +554,7 @@ def _prefix(stream: CoefficientStream, K: int) -> CoefficientStream:
                              stream.log_scale, stream.stride)
 
 
-def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
-                     tail_window: int = 32) -> KernelReport:
+def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) -> KernelReport:
     """Run the kernel recursion from each unit seed and count members.
 
     For the decoupled families (conj(z)^m + f and the special family) the
@@ -608,7 +607,7 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3,
             return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]
 
     def judge(streams):
-        return [l2_membership(s, ratio_tol, tail_window) for s in streams]
+        return [l2_membership(s, ratio_tol) for s in streams]
 
     try:
         zp = _cp.zero_pattern(poly, CIRCLE_TOL)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -76,6 +75,10 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 # lanes integrated at once, which bounds the (2 lanes x 15) node arrays
 _LANE_BLOCK = 4096
 _MAX_PANELS = 512
+# error tolerance of each radial integral of eval_basis
+_QUAD_TOL = 1e-12
+# taylor_coefficients samples g_j on the circle |z| = _RADIUS
+_RADIUS = 0.9
 
 
 def _gk_panels(f, lanes: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -253,7 +256,7 @@ class OdeKernelBasis:
         return (z ** (self.m - 1) * c * self._v(zm)
                 / (self.alpha * (zm - self.z0m) * (zm - self.z1m)))
 
-    def eval_basis(self, j: int, z, quad_tol: float = 1e-12):
+    def eval_basis(self, j: int, z):
         """g_j at points z inside the unit disk, 1 <= j <= m."""
         if not 1 <= j <= self.m:
             raise ValueError(f"j must lie in 1..{self.m}")
@@ -276,7 +279,7 @@ class OdeKernelBasis:
             def integrand(lanes, s, zc=zc):
                 t = zc[lanes] * s
                 return (t ** p) * self._dh(t) * zc[lanes]
-            q[part] = _adaptive_gk_lanes(integrand, part.size, 0.0, 1.0, quad_tol,
+            q[part] = _adaptive_gk_lanes(integrand, part.size, 0.0, 1.0, _QUAD_TOL,
                                          _MAX_PANELS)
         out = np.empty(len(z), dtype=complex)
         g1v = self._g1(z)
@@ -296,39 +299,34 @@ class OdeKernelBasis:
         return SpecialFamilySymbol(self.m, self.alpha, self.beta, 1.0 + 0j)
 
 
-def taylor_coefficients(basis: OdeKernelBasis, j: int, K: int,
-                        samples: Optional[int] = None, radius: float = 0.9,
-                        quad_tol: float = 1e-12) -> np.ndarray:
-    """First K Taylor coefficients of g_j by FFT on a sampling circle.
+def taylor_coefficients(basis: OdeKernelBasis, j: int, K: int) -> np.ndarray:
+    """First K Taylor coefficients of g_j by FFT at 4K points of the circle
+    |z| = _RADIUS.
 
-    The k-th coefficient is amplified by radius^-k, so eval noise of size
-    eps reaches eps * radius^-(K-1) at the top; the call refuses
-    configurations where that exceeds 1e-4.
+    The k-th coefficient is amplified by _RADIUS^-k, so eval noise of size
+    _QUAD_TOL reaches _QUAD_TOL * _RADIUS^-(K-1) at the top; the call
+    refuses K where that exceeds 1e-4 (K >= 176).
     """
-    if samples is None:
-        samples = 4 * K
-    if samples < 2 * K:
-        raise ValueError("need at least 2K sample points")
-    amp = radius ** (-(K - 1))
-    if quad_tol * amp > 1e-4:
+    samples = 4 * K
+    amp = _RADIUS ** (-(K - 1))
+    if _QUAD_TOL * amp > 1e-4:
         raise ExtractionError(
-            f"amplification {amp:.3e} at k={K - 1} with eval tol {quad_tol:.1e}")
-    zs = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = basis.eval_basis(j, zs, quad_tol=quad_tol)
+            f"amplification {amp:.3e} at k={K - 1} with eval tol {_QUAD_TOL:.1e}")
+    zs = _RADIUS * np.exp(2j * np.pi * np.arange(samples) / samples)
+    vals = basis.eval_basis(j, zs)
     hat = np.fft.fft(vals) / samples
     k = np.arange(K)
-    return hat[:K] / radius**k
+    return hat[:K] / _RADIUS**k
 
 
-def residual_check(basis: OdeKernelBasis, j: int, K: int = 50,
-                   samples: Optional[int] = None, radius: float = 0.9) -> float:
+def residual_check(basis: OdeKernelBasis, j: int, K: int = 50) -> float:
     """Relative Bergman-norm residual of T_phi g_j on the first K-2m coefficients.
 
     g_j is sampled on a circle, its Taylor coefficients extracted, and the
     exact coefficient operator applied; only indices unaffected by the
     truncation are scored.
     """
-    coeffs = taylor_coefficients(basis, j, K, samples, radius)
+    coeffs = taylor_coefficients(basis, j, K)
     out = finsect.apply_symbol(basis.symbol(), coeffs)
     cut = K - 2 * basis.m
     if cut < 1:

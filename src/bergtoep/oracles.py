@@ -48,14 +48,17 @@ def check_winding_vs_zero_count(rng, trials):
         beta = complex(*rng.uniform(-1.5, 1.5, 2))
         lam = complex(*rng.uniform(-3, 3, 2))
         sym = SpecialFamilySymbol(m, alpha, beta)
-        if spectrum.curve_distance(sym, lam) < 1e-3:
+        _, winds = spectrum.curve_windings(sym, [lam], 1e-3)
+        if not winds:
             continue
         quad = symbols.special_to_quadratic(sym, lam)
         count = cpoly.zero_pattern(quad, 1e-6).in_disk
         if count is None:
             continue
         done += 1
-        wind = spectrum.winding_of_symbol(sym, lam).winding
+        if isinstance(winds[0], Exception):
+            raise winds[0]
+        wind = winds[0].winding
         if wind + m != m * count:
             bad.append({"m": m, "alpha": [alpha.real, alpha.imag],
                         "beta": [beta.real, beta.imag],

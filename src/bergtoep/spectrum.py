@@ -57,11 +57,15 @@ class WindingResult:
     min_distance_to_curve: float
 
 
+# phi(T) is sampled at _CURVE_SAMPLES roots of unity, and a winding that
+# sampling cannot resolve is retried on twice as many, up to _MAX_SAMPLES
+_CURVE_SAMPLES = 512
+_MAX_SAMPLES = 1 << 16
+_ZOOM_ROUNDS = 3
 # entries of one (points x samples) array in the grid engine: blocks of 32
 # points at 512 samples run as fast as a whole grid at once, in a small
 # fraction of its memory
 _BLOCK_ENTRIES = 32 * 512
-_MAX_SAMPLES = 1 << 16
 
 
 def _blocks(points: int, samples: int):
@@ -69,15 +73,16 @@ def _blocks(points: int, samples: int):
     return (slice(i, i + rows) for i in range(0, points, rows))
 
 
-def _value(result):
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def winding_numbers(curve, lams) -> list:
-    """winding_number() about each lam: the WindingResult, or the exception
-    winding_number raises there, computed for blocks of points at once."""
+    """Winding of a closed sampled curve about each lam, by argument
+    increments, computed for blocks of points at once.
+
+    Each entry is the WindingResult, or the exception that decides the
+    point: OnCurveError within 1e-9 of a sample, and CurveResolutionError
+    when an increment reaches pi/2 (the polygon may alias) or the
+    accumulated angle lands farther than 0.1 from an integer multiple of
+    2 pi.  The curve needs at least 64 samples (ValueError).
+    """
     curve = np.asarray(curve, dtype=complex)
     if len(curve) < 64:
         raise ValueError("need at least 64 samples")
@@ -109,24 +114,14 @@ def winding_numbers(curve, lams) -> list:
     return out
 
 
-def winding_number(curve, lam: complex = 0j) -> WindingResult:
-    """Winding of a closed sampled curve about lam by argument increments.
-
-    Requires at least 64 samples and all increments below pi/2, otherwise
-    the polygon may alias; the accumulated angle must land within 0.1 of
-    an integer multiple of 2 pi.
-    """
-    return _value(winding_numbers(curve, [lam])[0])
-
-
-def _windings(sym: Symbol, curve: np.ndarray, lams: np.ndarray,
-              max_samples: int = _MAX_SAMPLES) -> list:
-    """winding_of_symbol() about each lam, from phi sampled as curve: the
-    points the samples cannot resolve are retried on twice as many."""
+def _windings(sym: Symbol, curve: np.ndarray, lams: np.ndarray) -> list:
+    """Winding of phi(unit circle) about each lam, from phi sampled as
+    curve: the points the samples cannot resolve are retried on twice as
+    many, up to _MAX_SAMPLES."""
     out = winding_numbers(curve, lams)
     samples = len(curve)
     retry = [i for i, r in enumerate(out) if isinstance(r, CurveResolutionError)]
-    while retry and samples < max_samples:
+    while retry and samples < _MAX_SAMPLES:
         samples *= 2
         for i, r in zip(retry, winding_numbers(boundary_curve(sym, samples), lams[retry])):
             out[i] = r
@@ -134,20 +129,13 @@ def _windings(sym: Symbol, curve: np.ndarray, lams: np.ndarray,
     return out
 
 
-def winding_of_symbol(sym: Symbol, lam: complex = 0j, samples: int = 512,
-                      max_samples: int = _MAX_SAMPLES) -> WindingResult:
-    """Winding of phi(unit circle) about lam, refining until resolved."""
-    return _value(_windings(sym, boundary_curve(sym, samples),
-                            np.array([complex(lam)]), max_samples)[0])
-
-
 @functools.lru_cache(maxsize=8)
-def _zoom_windows(samples: int, zoom_rounds: int) -> tuple[np.ndarray, ...]:
+def _zoom_windows(samples: int) -> tuple[np.ndarray, ...]:
     # angle offsets of the zoom rounds around a point's closest sample,
     # the same for every point
     windows = []
     width = 2 * np.pi / samples
-    for _ in range(zoom_rounds):
+    for _ in range(_ZOOM_ROUNDS):
         window = np.linspace(-width, width, 129)
         window.flags.writeable = False
         windows.append(window)
@@ -155,10 +143,11 @@ def _zoom_windows(samples: int, zoom_rounds: int) -> tuple[np.ndarray, ...]:
     return tuple(windows)
 
 
-def curve_distances(sym: Symbol, curve: np.ndarray, lams,
-                    zoom_rounds: int = 3) -> np.ndarray:
-    """curve_distance() of each lam, given phi sampled at the len(curve)-th
-    roots of unity (boundary_curve); blocks of points are zoomed at once."""
+def curve_distances(sym: Symbol, curve: np.ndarray, lams) -> np.ndarray:
+    """Distance from each lam to phi(unit circle), given phi sampled at the
+    len(curve)-th roots of unity (boundary_curve): the closest sample, then
+    _ZOOM_ROUNDS rounds of 129 points around the closest angle so far, each
+    window 1/32 as wide as the last.  Blocks of points are zoomed at once."""
     samples = len(curve)
     lams = np.asarray(lams, dtype=complex)
     best = np.empty(len(lams))
@@ -168,7 +157,7 @@ def curve_distances(sym: Symbol, curve: np.ndarray, lams,
         rows = np.arange(len(d))
         i = d.argmin(axis=1)
         dist, center = d[rows, i], 2 * np.pi * i / samples
-        for window in _zoom_windows(samples, zoom_rounds):
+        for window in _zoom_windows(samples):
             local = center[:, None] + window
             d = np.abs(sym.eval(np.exp(1j * local)) - lam)
             i = d.argmin(axis=1)
@@ -180,52 +169,42 @@ def curve_distances(sym: Symbol, curve: np.ndarray, lams,
     return best
 
 
-def curve_distance(sym: Symbol, lam: complex, samples: int = 512,
-                   zoom_rounds: int = 3) -> float:
-    """Distance from lam to phi(unit circle), by sampling plus local zoom."""
-    return float(curve_distances(sym, boundary_curve(sym, samples), [lam], zoom_rounds)[0])
+def curve_windings(sym: Symbol, lams, curve_tol: float):
+    """The curve stage of every symbol-level answer: the distance from each
+    lam to phi(T), and, by index into lams, the winding of phi(T) about
+    each point farther than curve_tol (a WindingResult, or the exception
+    that decides the point).
 
-
-def _grid_windings(sym: Symbol, lams: list[complex], curve_tol: float, samples: int):
-    """Distance from each lam to phi(T), and the winding_of_symbol() result
-    (or exception) of each point farther than curve_tol, by grid index.
-
-    The sampled curve is evaluated once, for the distances and the first
-    winding pass alike."""
+    phi is sampled once at _CURVE_SAMPLES roots of unity, for the distances
+    and the first winding pass alike; only the points that sampling cannot
+    resolve are refined (see _windings)."""
     lams = np.array(lams, dtype=complex)
-    curve = boundary_curve(sym, samples)
+    curve = boundary_curve(sym, _CURVE_SAMPLES)
     dist = curve_distances(sym, curve, lams)
     off = np.flatnonzero(~(dist <= curve_tol))
     return dist.tolist(), dict(zip(off.tolist(), _windings(sym, curve, lams[off])))
 
 
-def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6,
-                   samples: int = 512, degeneracy_tol: float = 1e-10) -> int:
+def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6) -> int:
     """Index of T_phi - lam as minus the winding number of phi(T) about lam.
 
-    For the special family the zero-count route m(1 - N_t) is computed as
-    well and a disagreement raises RouteMismatchError.
+    For the special family the zero-count route m(1 - N_t), with N_t the
+    zeros of the t-quadratic in the unit disk, is computed as well, and a
+    disagreement raises RouteMismatchError; a t-zero within 1e-12 of the
+    circle leaves the count undecided and the winding answers alone.
     """
-    dist, winds = _grid_windings(sym, [complex(lam)], curve_tol, samples)
+    dist, winds = curve_windings(sym, [complex(lam)], curve_tol)
     if not winds:
         raise OnCurveError(f"lam within {dist[0]:.2e} of phi(T); not Fredholm")
-    index = -_value(winds[0]).winding
+    wind = winds[0]
+    if isinstance(wind, Exception):
+        raise wind
+    index = -wind.winding
     if isinstance(sym, SpecialFamilySymbol):
-        quad = special_to_quadratic(sym, lam)
-        report_count = None
-        if quad.degree >= 1:
-            try:
-                rep = cpoly.schur_cohn(quad, degeneracy_tol)
-                report_count = rep.in_disk_count
-            except cpoly.NumericIntegrityError:
-                report_count = None
-        if report_count is None:
-            report_count = cpoly.zero_pattern(quad, 1e-12).in_disk
-        if report_count is not None:
-            index2 = sym.m * (1 - report_count)
-            if index2 != index:
-                raise RouteMismatchError(
-                    f"winding route gives {index}, zero-count route gives {index2}")
+        count = cpoly.zero_pattern(special_to_quadratic(sym, lam), 1e-12).in_disk
+        if count is not None and sym.m * (1 - count) != index:
+            raise RouteMismatchError(f"winding route gives {index}, zero-count "
+                                     f"route gives {sym.m * (1 - count)}")
     return index
 
 
@@ -244,18 +223,23 @@ class SpectrumVerdict:
 
 
 def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
-                    rel_tol: float = 1e-6, samples: int = 512) -> list[SpectrumVerdict]:
-    """spectrum_membership() at each lam, with the work shared by the points.
+                    rel_tol: float = 1e-6) -> list[SpectrumVerdict]:
+    """Classify each lam against sigma(T_phi), in the order of lams.
 
-    The sampled curve is evaluated once, distances and windings are taken
-    for blocks of points at a time, and the zeros of every winding-zero
-    phi_lam are found by one cpoly.roots_many call.  Each point gets
-    exactly the floating-point operations it gets alone, so the verdicts
-    equal the one-point answers.  When points raise, the exception of the
-    first of them in the order of lams is raised.
+    Within curve_tol of the boundary curve: in_essential.  Nonzero winding:
+    in_by_index.  Winding zero: the point is out of the spectrum provided
+    the shifted associated polynomial phi_lam has zeros of distinct moduli
+    (rel_tol; the recursion asymptotics then certify invertibility); when
+    that hypothesis fails no verdict is claimed (assumption_failed).
+
+    The points share the curve stage (curve_windings), and the zeros of
+    every winding-zero phi_lam come from one cpoly.roots_many call.  Each
+    point gets exactly the floating-point operations it gets alone, so a
+    verdict does not depend on the other points.  When points raise, the
+    exception of the first of them in the order of lams is raised.
     """
     lams = [complex(lam) for lam in lams]
-    dist, winds = _grid_windings(sym, lams, curve_tol, samples)
+    dist, winds = curve_windings(sym, lams, curve_tol)
     failed = [i for i, r in winds.items() if isinstance(r, Exception)]
     stop = min(failed, default=len(lams))
     zero = [i for i, r in winds.items() if i < stop and r.winding == 0]
@@ -276,27 +260,18 @@ def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
     return verdicts
 
 
-def spectrum_membership(sym: HarmonicPolySymbol, lam: complex,
-                        curve_tol: float = 1e-6, rel_tol: float = 1e-6,
-                        samples: int = 512) -> SpectrumVerdict:
-    """Classify lam against sigma(T_phi).
-
-    On the boundary curve: in_essential.  Nonzero winding: in_by_index.
-    Winding zero: the point is out of the spectrum provided the shifted
-    associated polynomial phi_lam has zeros of distinct moduli (the
-    recursion asymptotics then certify invertibility); when that
-    hypothesis fails no verdict is claimed (assumption_failed).
-    """
-    return membership_grid(sym, [lam], curve_tol, rel_tol, samples)[0]
-
-
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
 
-def special_family_region(m: int, alpha: complex, beta: complex, lam: complex,
-                          boundary_tol: float = 1e-9) -> str:
+# half-width of the boundary band of the family's closed-form images, in
+# the normalized ellipse value (special_family_region) or in modulus
+# (analytic_family_region)
+_BOUNDARY_TOL = 1e-9
+
+
+def special_family_region(m: int, alpha: complex, beta: complex, lam: complex) -> str:
     """Position of lam relative to the closed image of conj(z)^m + alpha z^m + beta.
 
     The image is the solid ellipse centered at beta with semi-axes
@@ -308,25 +283,24 @@ def special_family_region(m: int, alpha: complex, beta: complex, lam: complex,
     tau = cmath.phase(alpha) if a > 0 else 0.0
     zeta = cmath.exp(-0.5j * tau) * (complex(lam) - complex(beta))
     if abs(a - 1.0) <= 1e-12:
-        if abs(zeta.imag) <= boundary_tol and abs(zeta.real) <= 2.0 + boundary_tol:
+        if abs(zeta.imag) <= _BOUNDARY_TOL and abs(zeta.real) <= 2.0 + _BOUNDARY_TOL:
             return BOUNDARY
         return EXTERIOR
     v = (zeta.real / (1.0 + a)) ** 2 + (zeta.imag / (1.0 - a)) ** 2
-    if v < 1.0 - boundary_tol:
+    if v < 1.0 - _BOUNDARY_TOL:
         return INTERIOR
-    if v > 1.0 + boundary_tol:
+    if v > 1.0 + _BOUNDARY_TOL:
         return EXTERIOR
     return BOUNDARY
 
 
-def analytic_family_region(alpha: complex, beta: complex, lam: complex,
-                           boundary_tol: float = 1e-9) -> str:
+def analytic_family_region(alpha: complex, beta: complex, lam: complex) -> str:
     """Same classification for gamma = 0, image = closed disk |w - beta| <= |alpha|."""
     r = abs(complex(lam) - complex(beta))
     a = abs(complex(alpha))
-    if r < a - boundary_tol:
+    if r < a - _BOUNDARY_TOL:
         return INTERIOR
-    if r > a + boundary_tol:
+    if r > a + _BOUNDARY_TOL:
         return EXTERIOR
     return BOUNDARY
 
@@ -357,8 +331,13 @@ class InequalityChecks:
     agrees_with_roots: Optional[bool]
 
 
-def _inequality_region(alpha: complex, beta: complex, gamma: complex,
-                       eq_tol: float = 1e-9):
+# a t-zero within _CIRCLE_TOL of the circle makes the pencil NotFredholm;
+# |alpha| and |gamma| within _EQ_TOL take the equal-modulus predicate
+_CIRCLE_TOL = 1e-9
+_EQ_TOL = 1e-9
+
+
+def _inequality_region(alpha: complex, beta: complex, gamma: complex):
     d0 = abs(gamma) ** 2 - abs(alpha) ** 2
     cross = abs(alpha * beta.conjugate() - beta * gamma.conjugate())
     q = abs(beta) ** 4 - 4 * alpha * gamma * beta.conjugate() ** 2
@@ -367,7 +346,7 @@ def _inequality_region(alpha: complex, beta: complex, gamma: complex,
         (OMEGA2, -d0 - cross),
         (OMEGA1, min(abs(d0), cross - abs(d0))),
     ]
-    if abs(abs(alpha) - abs(gamma)) <= eq_tol:
+    if abs(abs(alpha) - abs(gamma)) <= _EQ_TOL:
         # not a nonpositive real number, with margin
         q_margin = max(q.real, abs(q.imag))
         candidates.append((OMEGA1, q_margin))
@@ -385,25 +364,24 @@ class RegionVerdict:
     inequality_checks: InequalityChecks
 
 
-def classify_projective(m: int, alpha: complex, beta: complex, gamma: complex,
-                        circle_tol: float = 1e-9, eq_tol: float = 1e-9) -> RegionVerdict:
+def classify_projective(m: int, alpha: complex, beta: complex, gamma: complex) -> RegionVerdict:
     """Fredholm-region classification of the pencil parameters (alpha, beta, gamma).
 
     The zero count of alpha t^2 + beta t + gamma in the unit disk decides
-    the region (NotFredholm inside the circle_tol band); the inequality
+    the region (NotFredholm inside the _CIRCLE_TOL band); the inequality
     predicates ride along in inequality_checks.
     """
     if m < 1:
         raise ValueError("m must be positive")
     alpha, beta, gamma = complex(alpha), complex(beta), complex(gamma)
-    d0, cross, q, ineq_region, margin = _inequality_region(alpha, beta, gamma, eq_tol)
+    d0, cross, q, ineq_region, margin = _inequality_region(alpha, beta, gamma)
 
     if alpha == 0 and beta == 0 and gamma == 0:
         checks = InequalityChecks(d0, cross, q, ineq_region, margin, None)
         return RegionVerdict(NOT_FREDHOLM, None, (), checks)
 
     # roots missing from a degree-deficient quadratic lie at infinity
-    zp = cpoly.zero_pattern(CPoly.make([gamma, beta, alpha]), circle_tol)
+    zp = cpoly.zero_pattern(CPoly.make([gamma, beta, alpha]), _CIRCLE_TOL)
     moduli = zp.moduli + (math.inf,) * (2 - len(zp.moduli))
 
     if zp.in_disk is None:

@@ -182,15 +182,22 @@ def to_json(sym: Symbol) -> dict:
                        "beta": _pair(sym.beta), "gamma": _pair(sym.gamma)}}
 
 
+def _json_int(value) -> int:
+    # int() would truncate 1.9 and accept true; JSON booleans are not integers
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"m must be a JSON integer, got {value!r}")
+    return value
+
+
 def from_json(data: Union[str, dict]) -> Symbol:
     if isinstance(data, str):
         data = json.loads(data)
     if "family" in data:
         f = data["family"]
-        return SpecialFamilySymbol(int(f["m"]), complex(*f["alpha"]),
+        return SpecialFamilySymbol(_json_int(f["m"]), complex(*f["alpha"]),
                                    complex(*f["beta"]),
                                    complex(*f.get("gamma", [1.0, 0.0])))
-    m = int(data["m"])
+    m = _json_int(data["m"])
     anti = tuple(complex(re, im) for re, im in data.get("anti", []))
     ana = tuple(complex(re, im) for re, im in data.get("ana", [])) or (0j,)
     return HarmonicPolySymbol(m, anti, ana)

@@ -14,7 +14,7 @@ import numpy as np
 from bergtoep import cpoly, finsect, kernel, oracles, spectrum
 from bergtoep.kernel import coburn_classify, l2_membership, recursion_general
 from bergtoep.odekernel import OdeKernelBasis, residual_check
-from bergtoep.spectrum import classify_projective, winding_of_symbol
+from bergtoep.spectrum import classify_projective, curve_windings
 from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, associated_poly
 
 
@@ -95,7 +95,7 @@ def test_criterion_4_ellipse_spectrum():
         lam_in = beta + np.exp(0.5j * tau) * (0.85 * edge)
         assert spectrum.special_family_region(m, alpha, beta, lam_in) \
             == spectrum.INTERIOR
-        wind = winding_of_symbol(sym, lam_in).winding
+        wind = curve_windings(sym, [lam_in], 0.0)[1][0].winding
         if wind != 0:
             interior_winding += 1
         else:

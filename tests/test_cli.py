@@ -257,6 +257,15 @@ class TestProbeAndIndex:
         assert rc == 0
         assert "index: 1" in capsys.readouterr().out
 
+    def test_index_route_mismatch_exits_1(self, capsys, monkeypatch):
+        # the family's t-quadratic zero count disagrees with the winding
+        zero_pattern = cpoly.zero_pattern
+        monkeypatch.setattr(cpoly, "zero_pattern",
+                            lambda p, circle_tol: zero_pattern(p, circle_tol)._replace(in_disk=1))
+        rc = run(["index", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "0"])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("route mismatch: ")
+
     def test_index_on_curve_fails(self, capsys):
         rc = run(["index", "--family", "m=1,alpha=0,beta=0", "--lambda", "1"])
         assert rc == 1
@@ -359,7 +368,6 @@ class TestConfigValidation:
         ["kernel", "--symbol", '{"m": 1, "ana": [[NaN, 0]]}'],
         ["kernel", "--family", "m=1,alpha=0,beta=0", "--tol-ratio", "nan"],
         ["spectrum", "--family", "m=1,alpha=0.5", "--lambda", "1", "--tol-curve", "nan"],
-        ["index", "--family", "m=1,alpha=0.5", "--lambda", "0", "--tol-degeneracy", "nan"],
         ["spectrum", "--symbol", '{"m": 1, "ana": [[0, 0], [0.5, 0]]}', "--lambda", "2",
          "--tol-moduli", "nan"],
         ["kernel", "--family", "m=1,alpha=0,beta=0", "--tol-ratio", "inf"],
@@ -377,6 +385,7 @@ class TestConfigValidation:
         ["probe", "--family", "m=1,alpha=0.5", "--grid=-1,1,-1,1,16", "--K", "500"],
         ["index", "--family", "m=1,alpha=0.5", "--lambda", "0", "--tol-ratio", "1e-3"],
         ["validate", "--suite", "quick", "--N", "64"],
+        ["index", "--family", "m=1,alpha=0.5", "--lambda", "0", "--tol-degeneracy", "nan"],
     ])
     def test_unread_option_rejected(self, capsys, argv):
         # each subcommand declares only the options it reads
@@ -384,6 +393,17 @@ class TestConfigValidation:
             run(argv)
         assert exc.value.code == 2
         assert "error: unrecognized arguments: --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symbol", [
+        '{"m": 1.9, "anti": [], "ana": [[0, 0], [0.5, 0]]}',
+        '{"family": {"m": 2.9, "alpha": [0.5, 0], "beta": [0, 0]}}',
+        '{"m": true, "anti": [], "ana": [[0, 0], [0.5, 0]]}',
+    ], ids=["float", "family-float", "bool"])
+    def test_non_integer_m_rejected(self, capsys, symbol):
+        with pytest.raises(SystemExit) as exc:
+            run(["index", "--symbol", symbol, "--lambda", "0"])
+        assert exc.value.code == 2
+        assert "bad symbol JSON: m must be a JSON integer" in capsys.readouterr().err
 
     def test_abbreviated_option_rejected(self, capsys):
         # --tol would otherwise expand to kernel's only --tol-* option

@@ -15,7 +15,7 @@ import numpy as np
 
 from bergtoep import spectrum
 from bergtoep.kernel import kernel_dimension
-from bergtoep.spectrum import classify_projective, special_family_region, winding_of_symbol
+from bergtoep.spectrum import classify_projective, curve_windings, special_family_region
 from bergtoep.symbols import SpecialFamilySymbol
 
 
@@ -49,7 +49,7 @@ def test_region_winding_kernel_coherence():
             verdict = classify_projective(m, alpha, beta - lam, 1.0)
             if verdict.region == spectrum.NOT_FREDHOLM:
                 continue
-            wind = winding_of_symbol(sym, lam).winding
+            wind = curve_windings(sym, [lam], 0.0)[1][0].winding
             assert -wind == verdict.index
 
             shifted = SpecialFamilySymbol(m, alpha, beta - lam)

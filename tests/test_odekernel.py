@@ -129,7 +129,7 @@ class TestResiduals:
     def test_extraction_guard(self):
         b = OdeKernelBasis(1, 0.25, 0.0)
         with pytest.raises(odekernel.ExtractionError):
-            taylor_coefficients(b, 1, 400, radius=0.5)
+            taylor_coefficients(b, 1, 400)
 
 
 class TestSpanAgreement:

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from bergtoep import cpoly, spectrum
-from bergtoep.spectrum import (OnCurveError, classify_projective,
-                               curve_distance, fredholm_index, special_family_region,
-                               spectrum_membership, winding_number,
-                               winding_of_symbol)
+from bergtoep.spectrum import (OnCurveError, classify_projective, curve_distances,
+                               curve_windings, fredholm_index, membership_grid,
+                               special_family_region, winding_numbers)
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               boundary_curve, zbar_power_plus)
 
@@ -16,49 +15,47 @@ def circle(samples=256):
 
 class TestWindingNumber:
     def test_unit_circle(self):
-        w = winding_number(circle(), 0)
+        w = winding_numbers(circle(), [0])[0]
         assert w.winding == 1
         assert w.min_distance_to_curve == pytest.approx(1.0)
 
     def test_negative_powers(self):
         for m in (1, 2, 3):
             curve = np.conj(circle(512)) ** m
-            assert winding_number(curve, 0).winding == -m
+            assert winding_numbers(curve, [0])[0].winding == -m
 
     def test_exterior_point(self):
         t = 2 * np.pi * np.arange(256) / 256
         curve = 2 * np.cos(t) + 0.5j * np.sin(t)
-        assert winding_number(curve, 5.0).winding == 0
+        assert winding_numbers(curve, [5.0])[0].winding == 0
 
     def test_on_curve_rejected(self):
-        with pytest.raises(OnCurveError):
-            winding_number(circle(), 1.0)
+        assert isinstance(winding_numbers(circle(), [1.0])[0], OnCurveError)
 
     def test_min_samples(self):
         with pytest.raises(ValueError):
-            winding_number(circle(32), 0)
+            winding_numbers(circle(32), [0])
 
     def test_symbol_refinement(self):
         # high-degree symbol needs more than 512 samples
         sym = zbar_power_plus(1, [0j] * 40 + [0.5])
-        w = winding_of_symbol(sym, 0.0)
-        assert w.winding == -1
+        _, winds = curve_windings(sym, [0.0], 0.0)
+        assert winds[0].winding == -1
 
     def test_under_resolved_curve_rejected(self):
         # coarse sampling near the query point trips the increment guard
-        with pytest.raises(spectrum.CurveResolutionError):
-            winding_number(circle(64), 1.0 - 1e-4)
+        w = winding_numbers(circle(64), [1.0 - 1e-4])[0]
+        assert isinstance(w, spectrum.CurveResolutionError)
 
-    def test_near_curve_point_correct_or_explicit(self):
-        # within the sample cap the wrapper either resolves the true value
+    def test_near_curve_point_correct_or_explicit(self, monkeypatch):
+        # within the sample cap the refinement either resolves the true value
         # or refuses; it never returns a wrong winding
+        monkeypatch.setattr(spectrum, "_MAX_SAMPLES", 4096)
         sym = zbar_power_plus(1, [])
         for lam, want in ((1.0 + 1e-8, 0), (1.0 - 1e-8, -1)):
-            try:
-                w = winding_of_symbol(sym, lam, max_samples=4096)
-            except (spectrum.CurveResolutionError, OnCurveError):
-                continue
-            assert w.winding == want
+            w = curve_windings(sym, [lam], 0.0)[1][0]
+            if not isinstance(w, (spectrum.CurveResolutionError, OnCurveError)):
+                assert w.winding == want
 
 
 class TestFredholmIndex:
@@ -81,6 +78,14 @@ class TestFredholmIndex:
         sym = SpecialFamilySymbol(1, 0.0, 0.0)
         with pytest.raises(OnCurveError):
             fredholm_index(sym, 1.0)
+
+    def test_family_zero_count_cross_checks_winding(self, monkeypatch):
+        # a t-quadratic zero count that disagrees with the winding raises
+        zero_pattern = cpoly.zero_pattern
+        monkeypatch.setattr(cpoly, "zero_pattern",
+                            lambda p, circle_tol: zero_pattern(p, circle_tol)._replace(in_disk=1))
+        with pytest.raises(spectrum.RouteMismatchError):
+            fredholm_index(SpecialFamilySymbol(1, 0.5, 0.0), 0)
 
     def test_adjoint_negates_index(self):
         gen = np.random.default_rng(12)
@@ -106,25 +111,26 @@ class TestFredholmIndex:
 class TestSpectrumMembership:
     def test_in_by_index(self):
         for m in (1, 2):
-            v = spectrum_membership(zbar_power_plus(m, []), 0)
+            v = membership_grid(zbar_power_plus(m, []), [0])[0]
             assert v.status == spectrum.IN_BY_INDEX
             assert v.winding == -m
 
     def test_out_certified(self):
         sym = HarmonicPolySymbol(1, (), (1.0, 2.0))  # conj(z) + 2z + 1
-        v = spectrum_membership(sym, 40 + 40j)
+        v = membership_grid(sym, [40 + 40j])[0]
         assert v.status == spectrum.OUT_CERTIFIED
         assert v.winding == 0
 
     def test_in_essential_on_segment(self):
         sym = HarmonicPolySymbol(1, (), (0, 1))  # conj(z) + z, curve [-2, 2]
-        v = spectrum_membership(sym, 0.37)
+        v = membership_grid(sym, [0.37])[0]
         assert v.status == spectrum.IN_ESSENTIAL
 
     def test_distance_refinement(self):
         sym = HarmonicPolySymbol(1, (), (0, 1))
-        assert curve_distance(sym, 0.123) < 1e-7
-        assert curve_distance(sym, 0.5 + 1j) == pytest.approx(1.0, rel=1e-4)
+        near, far = curve_distances(sym, boundary_curve(sym, 512), [0.123, 0.5 + 1j])
+        assert near < 1e-7
+        assert far == pytest.approx(1.0, rel=1e-4)
 
     def test_special_family_as_general_symbol_hypothesis_gap(self):
         # conj(z)^2 + 0.25 z^2 written with q = z^2: the shifted associated
@@ -133,13 +139,13 @@ class TestSpectrumMembership:
         # The family-specific route still resolves the same point.
         sym = HarmonicPolySymbol(2, (0j,), (0.0, 0.0, 0.25))
         lam = 3.0 + 0.0j
-        v = spectrum_membership(sym, lam)
+        v = membership_grid(sym, [lam])[0]
         assert v.status == spectrum.ASSUMPTION_FAILED
         assert v.winding == 0
         assert special_family_region(2, 0.25, 0.0, lam) == spectrum.EXTERIOR
         # for m = 1 the same configuration certifies
         sym1 = HarmonicPolySymbol(1, (), (0.0, 0.25))
-        v1 = spectrum_membership(sym1, 3.0)
+        v1 = membership_grid(sym1, [3.0])[0]
         assert v1.status == spectrum.OUT_CERTIFIED
 
 
@@ -234,7 +240,8 @@ class TestWindingZeroCountIdentity:
             sym = SpecialFamilySymbol(m, complex(*gen.uniform(-1.5, 1.5, 2)),
                                       complex(*gen.uniform(-1.5, 1.5, 2)))
             lam = complex(*gen.uniform(-3, 3, 2))
-            if curve_distance(sym, lam) < 1e-3:
+            _, winds = curve_windings(sym, [lam], 1e-3)
+            if not winds:
                 continue
             from bergtoep.symbols import special_to_quadratic
             quad = special_to_quadratic(sym, lam)
@@ -242,7 +249,7 @@ class TestWindingZeroCountIdentity:
             if count is None:
                 continue
             done += 1
-            wind = winding_of_symbol(sym, lam).winding
+            wind = winds[0].winding
             assert wind + m == m * count
 
 
@@ -297,11 +304,11 @@ def padded_grid(sym, res=16, pad=0.25):
 
 
 def one_point_answers(sym, lams, **tols):
-    """repr of spectrum_membership at each lam, up to the first exception."""
+    """repr of the one-point membership_grid at each lam, up to the first exception."""
     out = []
     for lam in lams:
         try:
-            out.append(repr(spectrum_membership(sym, lam, **tols)))
+            out.append(repr(membership_grid(sym, [lam], **tols)[0]))
         except (OnCurveError, spectrum.CurveResolutionError, cpoly.RootFindingError) as exc:
             return out, exc
     return out, None
@@ -352,7 +359,7 @@ class TestMembershipGrid:
                                          3.975748168089595 - 0.0827677011681982j))
         unresolved = 4.470470381272609 + 6.146630148753228j
         far = 40 + 40j
-        assert spectrum_membership(sym, far).winding == 0
+        assert membership_grid(sym, [far])[0].winding == 0
         patterns = cpoly.zero_patterns
         at_far = associated_poly(sym, far)
 

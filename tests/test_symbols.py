@@ -186,3 +186,14 @@ def test_json_roundtrip():
     fam = SpecialFamilySymbol(3, 0.5, 1j, 2.0)
     back = symbols.from_json(symbols.to_json(fam))
     assert back == fam
+
+
+@pytest.mark.parametrize("data", [
+    {"m": 1.9, "anti": [], "ana": [[0, 0], [0.5, 0]]},
+    {"family": {"m": 2.9, "alpha": [0.5, 0], "beta": [0, 0]}},
+    {"m": True, "anti": [], "ana": [[0, 0], [0.5, 0]]},
+], ids=["float", "family-float", "bool"])
+def test_json_non_integer_m_rejected(data):
+    # int() would run m = 1.9 as 1 and true as 1
+    with pytest.raises(ValueError, match="m must be a JSON integer"):
+        symbols.from_json(json.dumps(data))
