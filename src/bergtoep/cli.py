@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -144,24 +145,29 @@ def _csv_open(path: Path, header: str, config: dict):
 
 
 def _svg_scatter(path: Path, curve: np.ndarray, points, colors, size: int = 640) -> None:
-    xs = np.concatenate([curve.real, np.array([p.real for p, _ in zip(points, colors)] or [0.0])])
-    ys = np.concatenate([curve.imag, np.array([p.imag for p, _ in zip(points, colors)] or [0.0])])
+    zs = np.array([p for p, _ in zip(points, colors)], dtype=complex)
+    xs = np.concatenate([curve.real, zs.real if len(zs) else [0.0]])
+    ys = np.concatenate([curve.imag, zs.imag if len(zs) else [0.0]])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     scale = size / max(x1 - x0, y1 - y0)
 
-    def to_px(z):
-        return (z.real - x0) * scale, (y1 - z.imag) * scale
+    def to_px(z: np.ndarray) -> list:
+        """Pixel coordinates of the complex array z, x and y interleaved."""
+        px = np.empty(2 * len(z))
+        px[0::2] = (z.real - x0) * scale
+        px[1::2] = (y1 - z.imag) * scale
+        return px.tolist()
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
-    pts = " ".join("{:.2f},{:.2f}".format(*to_px(z)) for z in curve)
-    pts += " {:.2f},{:.2f}".format(*to_px(curve[0]))
+    closed = np.append(curve, curve[0])
+    pts = " ".join(["%.2f,%.2f"] * len(closed)) % tuple(to_px(closed))
     lines.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>')
-    for z, col in zip(points, colors):
-        px, py = to_px(z)
-        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="{col}"/>')
+    px = to_px(zs)
+    for cx, cy, col in zip(px[0::2], px[1::2], colors):
+        lines.append('<circle cx="%.2f" cy="%.2f" r="2.5" fill="%s"/>' % (cx, cy, col))
     lines.append("</svg>")
     path.write_text("\n".join(lines), encoding="utf-8")
 
@@ -466,8 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(parser, args)

@@ -189,15 +189,28 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_complex(value) -> complex:
+    # complex(*value) would take true, a bare "1" and a one-element list
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in value)):
+        raise ValueError(f"a coefficient must be a [re, im] pair of JSON numbers, "
+                         f"got {value!r}")
+    try:
+        return complex(*value)
+    except OverflowError:   # an integer beyond the double range
+        raise ValueError("symbol coefficients must be finite") from None
+
+
 def from_json(data: Union[str, dict]) -> Symbol:
     if isinstance(data, str):
         data = json.loads(data)
     if "family" in data:
         f = data["family"]
-        return SpecialFamilySymbol(_json_int(f["m"]), complex(*f["alpha"]),
-                                   complex(*f["beta"]),
-                                   complex(*f.get("gamma", [1.0, 0.0])))
+        return SpecialFamilySymbol(_json_int(f["m"]), _json_complex(f["alpha"]),
+                                   _json_complex(f["beta"]),
+                                   _json_complex(f.get("gamma", [1.0, 0.0])))
     m = _json_int(data["m"])
-    anti = tuple(complex(re, im) for re, im in data.get("anti", []))
-    ana = tuple(complex(re, im) for re, im in data.get("ana", [])) or (0j,)
+    anti = tuple(_json_complex(v) for v in data.get("anti", []))
+    ana = tuple(_json_complex(v) for v in data.get("ana", [])) or (0j,)
     return HarmonicPolySymbol(m, anti, ana)

@@ -405,6 +405,19 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert "bad symbol JSON: m must be a JSON integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("symbol", [
+        '{"m": 1, "anti": [], "ana": [[0, 0], [true, false]]}',
+        '{"family": {"m": 1, "alpha": "1", "beta": [0, 0]}}',
+        '{"family": {"m": 1, "alpha": [0.5], "beta": [0, 0]}}',
+    ], ids=["bool", "string", "one-element"])
+    def test_coefficient_not_a_number_pair_rejected(self, capsys, symbol):
+        with pytest.raises(SystemExit) as exc:
+            run(["index", "--symbol", symbol, "--lambda", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad symbol JSON: a coefficient must be a [re, im] pair" in err
+        assert "Traceback" not in err
+
     def test_abbreviated_option_rejected(self, capsys):
         # --tol would otherwise expand to kernel's only --tol-* option
         with pytest.raises(SystemExit) as exc:
@@ -438,3 +451,43 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--family", "m=1,alpha=0,beta=0", "--grid=0,1,0,1,4"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    # argparse type error, unrecognized option, parser.error inside a
+    # command, --version, then valid lines of three commands
+    SEQUENCE = [
+        ["spectrum", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "nan"],
+        ["index", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "0", "--K", "500"],
+        ["spectrum", "--family", "m=1,alpha=0.5,beta=0"],
+        ["--version"],
+        ["spectrum", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "1"],
+        ["index", "--family", "m=1,alpha=0.5,beta=0", "--lambda", "0"],
+        ["kernel", "--family", "m=2,alpha=0.5,beta=0", "--K", "500"],
+    ]
+
+    def outcomes(self, capsys):
+        got = []
+        for argv in self.SEQUENCE * 2:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = ("exit", exc.code)
+            got.append((rc, *capsys.readouterr()))
+        return got
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        reused = self.outcomes(capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys)
+        assert reused == fresh
+        assert [rc for rc, _, _ in fresh[:7]] == [
+            ("exit", 2), ("exit", 2), ("exit", 2), ("exit", 0), 0, 0, 0]
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        self.outcomes(capsys)
+        assert len(built) == 1

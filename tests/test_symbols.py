@@ -197,3 +197,21 @@ def test_json_non_integer_m_rejected(data):
     # int() would run m = 1.9 as 1 and true as 1
     with pytest.raises(ValueError, match="m must be a JSON integer"):
         symbols.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("data", [
+    {"m": 1, "anti": [], "ana": [[0, 0], [True, False]]},
+    {"family": {"m": 1, "alpha": "1", "beta": [0, 0]}},
+    {"family": {"m": 1, "alpha": [0.5], "beta": [0, 0]}},
+    {"m": 2, "anti": [[0.5, 0, 0]], "ana": [[0, 0]]},
+    {"family": {"m": 1, "alpha": [0.5, 0], "beta": [0, 0], "gamma": [None, 0]}},
+], ids=["bool", "string", "one-element", "three-element", "null"])
+def test_json_coefficient_not_a_number_pair_rejected(data):
+    # complex(*value) would run true as 1, "1" as 1 and [0.5] as 0.5
+    with pytest.raises(ValueError, match=r"a coefficient must be a \[re, im\] pair"):
+        symbols.from_json(json.dumps(data))
+
+
+def test_json_integer_beyond_double_range_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        symbols.from_json(json.dumps({"m": 1, "ana": [[0, 0], [10**400, 0]]}))
