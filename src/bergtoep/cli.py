@@ -223,6 +223,8 @@ def cmd_kernel(parser, args) -> int:
             for v in report.verdicts
         ],
         "reason": report.reason,
+        "dim_route": report.dim_route,
+        "bounds": report.bounds,
     }
     if outdir is not None:
         for i, s in enumerate(report.basis):

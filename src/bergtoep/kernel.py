@@ -60,6 +60,22 @@ e^0.7i/c and p up to 1.24) the largest K eps with a wrong verdict is
 without bound as the two t-zeros of a family symbol approach each other,
 so the constant is a calibration, not a bound; kernel_dimension also asks
 the verdicts at K and K/2 to agree.
+
+When the seeds couple (0 < index < m for a general symbol), the kernel
+vectors can combine non-member unit seeds, and the member count falls
+short of the index.  Forward recursion cannot hold such a subdominant
+combination (Miller's instability), so a longer run does not help.  The
+adjoint does: T_phi* = T_{conj phi}, and psi = conj(phi)/conj(a_n) is a
+monic-q symbol with m' = n and index -index whose kernel is the cokernel
+of T_phi.  The seed block fixes a kernel element, so the member seeds of
+either operator bound its kernel from below and a non_member seed bounds
+it by the seed count less one.  With dim ker = index + dim coker,
+
+    max(members, index + coker members) <= dim ker
+        <= min(m - [a seed is non_member], index + n - [a coker seed is non_member]),
+
+and for n = 0 the adjoint is analytic and injective, so dim ker = index.
+When the two sides meet, that is the dimension.
 """
 
 from __future__ import annotations
@@ -73,8 +89,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import cpoly as _cp
-from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
-                      special_to_quadratic, zbar_power_plus)
+from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, adjoint_symbol,
+                      associated_poly, special_to_quadratic, zbar_power_plus)
 
 _BLOCK = 512
 _BLOCK_LIMIT = 1e100
@@ -516,11 +532,21 @@ def l2_membership(stream: CoefficientStream, ratio_tol: float = 1e-3) -> Members
 
 @dataclass(frozen=True)
 class KernelReport:
+    """dim_route says how a decided dim was found: seed_count (the member
+    seeds span the kernel, and basis holds their streams), adjoint_bounds
+    (the adjoint bounds meet; basis is empty, because the kernel vectors
+    combine non-member seeds) or analytic (an injective multiplication
+    operator).  bounds is (lo, hi) whenever the adjoint ran; bounds that
+    meet decide only when every seed on both sides is decided.
+    """
+
     dim: Optional[int]
     undecided: bool
     verdicts: tuple[MembershipVerdict, ...]
     basis: tuple[CoefficientStream, ...]
     reason: Optional[str] = None  # why the report is undecided
+    dim_route: Optional[str] = None
+    bounds: Optional[tuple[int, int]] = None
 
 
 KernelInput = Union[HarmonicPolySymbol, SpecialFamilySymbol, tuple]
@@ -536,6 +562,10 @@ K_START = 256      # fewest terms a resolvable verdict is read from
 
 ON_CIRCLE = "on_circle"
 UNRESOLVED = "unresolved"
+
+SEED_COUNT = "seed_count"
+ADJOINT_BOUNDS = "adjoint_bounds"
+ANALYTIC = "analytic"
 
 
 def _unit_seed(m: int, j: int) -> list[complex]:
@@ -570,9 +600,14 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
       RESOLUTION/|1 - rho|), and double, up to the cap, until every seed's
       verdict at K equals its verdict at K/2; a seed that still changes at
       the cap is undecided (route unresolved).  Settled verdicts that count
-      fewer members than the index get one more run, at the cap: a large
-      k^p prefactor (nearly equal zeros) can hold a member stream on the
-      non-member side well past RESOLUTION;
+      fewer members than the index first get bounds from the adjoint (see
+      _adjoint_bounds; a general symbol only).  When the bounds meet and
+      every seed on both sides is decided, dim is their common value
+      (dim_route adjoint_bounds, empty basis: the kernel vectors combine
+      non-member seeds).  Otherwise, and for the special family, the seeds
+      get one more run, at the cap: a large k^p prefactor (nearly equal
+      zeros) can hold a member stream on the non-member side well past
+      RESOLUTION;
     * on the circle (a zero within CIRCLE_TOL of it): the rho = 1 profile
       decides, read at K_START terms (route on_circle);
     * below resolution (cap |1 - rho| < RESOLUTION): one run at the cap,
@@ -580,9 +615,11 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     * zeros not found: one run at the cap, as l2_membership decides.
 
     A count below max(index, 0) contradicts dim ker >= index, so the report
-    is then undecided, the seed verdicts unchanged.  A seed stream that
+    is then undecided, the seed verdicts unchanged, and its reason names
+    the adjoint bounds when they were computed.  A seed stream that
     overflows (route non_finite) makes the report undecided at once.  Every
-    undecided report carries a reason.
+    undecided report carries a reason; a decided one says how dim was found
+    (dim_route), and bounds holds (lo, hi) whenever the adjoint ran.
 
     A tuple (m, f) is shorthand for zbar_power_plus(m, f).
     """
@@ -592,7 +629,7 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
         if sym.gamma == 0:
             # analytic symbol alpha z^m + beta: multiplication operator,
             # injective whenever the symbol is not identically zero
-            return KernelReport(0, False, (), ())
+            return KernelReport(0, False, (), (), dim_route=ANALYTIC)
         norm = sym.normalized()
         m = norm.m
         poly, per_zero = special_to_quadratic(norm), m   # a zero t is m zeros z = t^(1/m)
@@ -628,27 +665,53 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     while k * gap < RESOLUTION:
         k *= 2
     k = min(k, K)
+    bounds = None
     while True:
         streams = run(k)
         verdicts = judge(streams)
         if any(v.route == NON_FINITE for v in verdicts):
-            return _count(streams, verdicts, None)   # a longer run overflows too
+            # a longer run overflows too
+            return _count(streams, verdicts, None, bounds=bounds)
         halves = judge([_prefix(s, k // 2) for s in streams])
         unsettled = [j for j, (v, h) in enumerate(zip(verdicts, halves))
                      if v.status != h.status]
-        if k == K:
+        short = not unsettled and sum(v.status == MEMBER for v in verdicts) < index
+        if short and bounds is None and isinstance(sym, HarmonicPolySymbol):
+            lo, hi, decided = _adjoint_bounds(sym, verdicts, index, K, ratio_tol)
+            bounds = (lo, hi)
+            if decided and lo == hi:
+                return KernelReport(lo, False, tuple(verdicts), (),
+                                    dim_route=ADJOINT_BOUNDS, bounds=bounds)
+        if k == K or not (unsettled or short):
             break
-        if unsettled:
-            k = min(2 * k, K)
-        elif sum(v.status == MEMBER for v in verdicts) < index:
-            k = K   # a count below the index: look once more, at the cap
-        else:
-            break
+        # an unsettled seed doubles K; a count below the index that the
+        # bounds leave open looks once more, at the cap
+        k = min(2 * k, K) if unsettled else K
     for j in unsettled:
         verdicts[j] = replace(verdicts[j], status=UNDECIDED, route=UNRESOLVED)
     reason = (f"seed verdicts at K = {k // 2} and K = {k} differ at the cap"
               if unsettled else None)
-    return _count(streams, verdicts, reason, index)
+    return _count(streams, verdicts, reason, index, bounds)
+
+
+def _adjoint_bounds(sym: HarmonicPolySymbol, verdicts: list[MembershipVerdict],
+                    index: int, K: int, ratio_tol: float) -> tuple[int, int, bool]:
+    """(lo, hi, decided): lo <= dim ker T_phi <= hi from its settled seed
+    verdicts and those of psi = adjoint_symbol(sym), by the rule in the
+    module docstring; decided says every seed on both sides is decided.
+
+    psi has index -index < 0 here, so its own count never calls this.  For
+    n = 0, T_phi* is analytic and nonzero, hence injective, and nothing runs.
+    """
+    coker = () if sym.n == 0 else kernel_dimension(adjoint_symbol(sym), K, ratio_tol).verdicts
+
+    def count(vs, status):
+        return sum(v.status == status for v in vs)
+
+    lo = max(count(verdicts, MEMBER), index + count(coker, MEMBER))
+    hi = min(sym.m - (count(verdicts, NON_MEMBER) > 0),
+             index + sym.n - (count(coker, NON_MEMBER) > 0))
+    return lo, hi, count(verdicts, UNDECIDED) + count(coker, UNDECIDED) == 0
 
 
 def _override(verdicts: list[MembershipVerdict], **changes) -> list[MembershipVerdict]:
@@ -657,8 +720,12 @@ def _override(verdicts: list[MembershipVerdict], **changes) -> list[MembershipVe
 
 
 def _count(streams: list[CoefficientStream], verdicts: list[MembershipVerdict],
-           reason: Optional[str], index: Optional[int] = None) -> KernelReport:
-    """The report for these seed verdicts, checked against the index."""
+           reason: Optional[str], index: Optional[int] = None,
+           bounds: Optional[tuple[int, int]] = None) -> KernelReport:
+    """The report for these seed verdicts, checked against the index.
+
+    bounds, when the adjoint ran, are recorded and named in the reason.
+    """
     verdicts = tuple(verdicts)
     overflowed = [j for j, v in enumerate(verdicts) if v.route == NON_FINITE]
     if overflowed:
@@ -668,15 +735,18 @@ def _count(streams: list[CoefficientStream], verdicts: list[MembershipVerdict],
                   "overflowed the double range")
     undecided = [j for j, v in enumerate(verdicts) if v.status == UNDECIDED]
     if undecided:
-        return KernelReport(None, True, verdicts, tuple(streams),
-                            reason or f"seed {undecided[0]} undecided at "
-                                      f"K = {verdicts[undecided[0]].terms_used}")
-    members = tuple(s for s, v in zip(streams, verdicts) if v.status == MEMBER)
-    if index is not None and len(members) < index:
-        return KernelReport(None, True, verdicts, tuple(streams),
-                            f"{len(members)} member seeds but index {index}: kernel "
-                            "vectors may combine non-member seeds")
-    return KernelReport(len(members), False, verdicts, members)
+        reason = reason or (f"seed {undecided[0]} undecided at "
+                            f"K = {verdicts[undecided[0]].terms_used}")
+    else:
+        members = tuple(s for s, v in zip(streams, verdicts) if v.status == MEMBER)
+        if index is None or len(members) >= index:
+            return KernelReport(len(members), False, verdicts, members,
+                                dim_route=SEED_COUNT, bounds=bounds)
+        reason = (f"{len(members)} member seeds but index {index}: kernel "
+                  "vectors may combine non-member seeds")
+    if bounds is not None:
+        reason += f"; adjoint bounds [{bounds[0]}, {bounds[1]}]"
+    return KernelReport(None, True, verdicts, tuple(streams), reason, bounds=bounds)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,27 @@ def zbar_power_plus(m: int, f_coeffs: Sequence[complex]) -> HarmonicPolySymbol:
     return HarmonicPolySymbol(m, (0j,) * (m - 1), tuple(f_coeffs) or (0j,))
 
 
+def adjoint_symbol(sym: HarmonicPolySymbol) -> HarmonicPolySymbol:
+    """psi = conj(phi)/conj(a_n) for phi = conj(q) + p with n >= 1.
+
+    T_psi is T_phi* = T_{conj phi} up to the scalar 1/conj(a_n), so its
+    kernel is the cokernel of T_phi.  conj(phi) = conj(p) + q, so psi is
+    monic-q with m' = n: q' = p/a_n (its constant a_0/a_n joins the
+    analytic part, as q has none) and p' = q/conj(a_n).  Its associated
+    polynomial is the reversed conjugate of phi_0 up to a constant, so its
+    zeros are 1/conj(z) and its index is -index.
+    """
+    m, n = sym.m, sym.n
+    if n < 1:
+        raise ValueError("the adjoint of a symbol with n = 0 is analytic")
+    a_n = sym.ana[n]
+    anti = tuple((sym.ana[n - i] / a_n).conjugate() for i in range(1, n))
+    q = sym.q_coeffs()
+    scale = a_n.conjugate()
+    ana = ((sym.ana[0] / a_n).conjugate(),) + tuple(q[j] / scale for j in range(1, m + 1))
+    return HarmonicPolySymbol(n, anti, ana)
+
+
 # roots of unity evaluated at a time: the finest curve a winding number
 # refines to (65536 samples) then takes a quarter of the temporary memory
 _CURVE_CHUNK = 1 << 14

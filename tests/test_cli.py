@@ -66,6 +66,19 @@ class TestKernelCommand:
         assert result["reason"].startswith("seed 0 stream is not finite")
         assert result["seed_verdicts"][0]["route"] == kernel.NON_FINITE
 
+    def test_adjoint_bounds_in_summary(self, capsys, tmp_path):
+        # the README repro: phi_0 zeros 0.5, 2 and 3, index 1, no member seed
+        sym = ('{"m": 2, "anti": [[-2.8333333333333335, 0]], '
+               '"ana": [[1.8333333333333333, 0], [-0.3333333333333333, 0]]}')
+        rc = run(["kernel", "--symbol", sym, "--strict", "--out", str(tmp_path)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("kernel dim: 1\n") and err == ""
+        result = json.loads((tmp_path / "kernel_summary.json").read_text())["result"]
+        assert (result["dim"], result["dim_route"], result["bounds"]) == (
+            1, kernel.ADJOINT_BOUNDS, [1, 1])
+        assert not list(tmp_path.glob("kernel_basis_seed*.csv"))
+
     @pytest.mark.parametrize("c", ["1e160", "1e200"])
     def test_large_coefficient_decides(self, capsys, c):
         # Coburn's table (m = 1, n = 0, |c| >= 1) gives 0

@@ -1,13 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bergtoep import cpoly, finsect, kernel, spectrum
+from bergtoep import cli, cpoly, finsect, kernel, spectrum
 from bergtoep.kernel import (CoefficientStream, closed_form_kernel_czn,
                              coburn_classify, kernel_dimension, l2_membership,
                              recursion_general, recursion_special_family)
-from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus
+from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, to_json,
+                              zbar_power_plus)
 
 
 def unit_seed(m, j):
@@ -272,10 +274,11 @@ class TestKernelDimension:
         assert np.all(np.isfinite(s.logmag))
 
     def test_guard_corpus_dim_at_least_index(self):
-        # 35 of these symbols counted fewer member seeds than the index:
-        # their kernel vectors combine non-member seeds
+        # 35 of these symbols count fewer member seeds than the index: their
+        # kernel vectors combine non-member seeds.  The adjoint bounds decide
+        # 26 of them, each as the index; 9 (m = 3, index 1) stay at [1, 2]
         gen = np.random.default_rng(1)
-        guarded = 0
+        guarded = bounded = 0
         for _ in range(400):
             m = int(gen.integers(1, 4))
             n = int(gen.integers(1, 4))
@@ -285,10 +288,97 @@ class TestKernelDimension:
             if rep.undecided:
                 assert rep.dim is None and rep.reason, (m, f)
                 # only the guard leaves every seed decided
-                guarded += all(v.status != kernel.UNDECIDED for v in rep.verdicts)
+                if all(v.status != kernel.UNDECIDED for v in rep.verdicts):
+                    guarded += 1
+                    assert rep.reason.endswith(f"adjoint bounds [{index}, {index + 1}]")
             else:
                 assert rep.dim >= max(index, 0), (m, f, rep.dim, index)
-        assert guarded == 35
+                if rep.dim_route == kernel.ADJOINT_BOUNDS:
+                    bounded += 1
+                    assert rep.dim == index and rep.reason is None, (m, f)
+                    assert rep.bounds == (index, index) and rep.basis == ()
+        assert guarded == 9
+        assert bounded == 26
+
+
+def _sym_from_phi0_zeros(m, n, zeros):
+    cs = np.array([1.0 + 0j])
+    for r in zeros:
+        cs = np.convolve(cs, np.array([1.0, -1.0 / r]))
+    return HarmonicPolySymbol(m, tuple(cs[1:m]), tuple(cs[m:m + n + 1]))
+
+
+@pytest.fixture
+def recursion_calls(monkeypatch):
+    """The symbols kernel_dimension runs recursion_general on, in order."""
+    calls = []
+
+    def spy(s, seed, K):
+        calls.append(s)
+        return recursion_general(s, seed, K)
+    monkeypatch.setattr(kernel, "recursion_general", spy)
+    return calls
+
+
+class TestAdjointBounds:
+    def test_dim_route_recorded(self):
+        rep = kernel_dimension((2, [0, 0.5]))
+        assert (rep.dim, rep.dim_route, rep.bounds) == (2, kernel.SEED_COUNT, None)
+        rep = kernel_dimension(SpecialFamilySymbol(1, 0.5, 0.0, 0.0))
+        assert (rep.dim, rep.dim_route) == (0, kernel.ANALYTIC)
+        rep = kernel_dimension((1, [0, 0.99995]))
+        assert (rep.dim, rep.dim_route, rep.bounds) == (None, None, None)
+
+    def test_n_zero_decided_without_adjoint(self, recursion_calls):
+        # phi_0 zeros 0.5 and 2: index 1, both seeds non_member.  T_phi* is
+        # analytic, so dim coker = 0 and dim ker = index with no adjoint run
+        sym = _sym_from_phi0_zeros(2, 0, [0.5, 2.0])
+        rep = kernel_dimension(sym)
+        assert (rep.dim, rep.undecided, rep.reason) == (1, False, None)
+        assert (rep.dim_route, rep.bounds, rep.basis) == (kernel.ADJOINT_BOUNDS, (1, 1), ())
+        assert [(v.status, v.terms_used) for v in rep.verdicts] == [
+            (kernel.NON_MEMBER, kernel.K_START)] * 2
+        assert recursion_calls == [sym, sym]
+
+    @pytest.mark.parametrize("m,n,zeros", [
+        # index 1, no member seed, so 1 <= dim ker <= m - 1; the adjoint's
+        # one seed is no member either, so the bounds meet at 1
+        (2, 1, [0.5, 2.0, 3.0]),
+        (2, 1, [0.853, 1.155j, -1.359]),
+        (3, 1, [0.5, 0.7j, -1.5, 2.0]),      # index 1
+        (3, 1, [0.4, 1.8, 2.5, 3.0]),        # index 2
+    ])
+    def test_coupled_repros_decided_as_index(self, m, n, zeros, recursion_calls):
+        sym = _sym_from_phi0_zeros(m, n, zeros)
+        index = spectrum.fredholm_index(sym, 0)
+        rep = kernel_dimension(sym)
+        assert all(v.status == kernel.NON_MEMBER for v in rep.verdicts)
+        assert (rep.dim, rep.dim_route, rep.bounds) == (index, kernel.ADJOINT_BOUNDS,
+                                                        (index, index))
+        # one run of phi's seeds and one of the adjoint's, none at the cap
+        assert [s.m for s in recursion_calls] == [m] * m + [n] * n
+        assert max(v.terms_used for v in rep.verdicts) < 20000
+
+    def test_unclosed_bounds_run_at_the_cap(self, capsys):
+        # m = 3, index 1: a non_member seed caps dim ker at 2, and the
+        # adjoint (m' = 2, no member seed) at index + n - 1 = 2, so the
+        # bounds stay [1, 2] and the seeds run once more at the cap
+        sym = _sym_from_phi0_zeros(3, 2, [0.5, 0.6j, 2.0, -2.5, 3.0])
+        assert spectrum.fredholm_index(sym, 0) == 1
+        rep = kernel_dimension(sym, K=2000)
+        assert (rep.dim, rep.undecided, rep.dim_route, rep.bounds) == (None, True, None, (1, 2))
+        assert [(v.status, v.route, v.terms_used) for v in rep.verdicts] == [
+            (kernel.NON_MEMBER, "ratio", 2000)] * 3
+        assert rep.reason == ("0 member seeds but index 1: kernel vectors may combine "
+                              "non-member seeds; adjoint bounds [1, 2]")
+        rc = cli.main(["kernel", "--symbol", json.dumps(to_json(sym)), "--K", "2000"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out == ("kernel dim: undecided\n"
+                       "  seed 0: non_member rho=2.00102\n"
+                       "  seed 1: non_member rho=2.00102\n"
+                       "  seed 2: non_member rho=2.00102\n")
+        assert err == f"undecided: {rep.reason}\n"
 
 
 def _near_boundary_corpus(js):

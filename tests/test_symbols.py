@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from bergtoep import cpoly, symbols
+from bergtoep import cpoly, spectrum, symbols
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol,
-                              associated_poly, boundary_curve,
+                              adjoint_symbol, associated_poly, boundary_curve,
                               special_to_quadratic, zbar_power_plus)
 
 
@@ -78,6 +78,41 @@ class TestAssociatedPoly:
             rhs = cpoly.eval_poly_many(phi.coeffs, z) / z**sym.m
             scale = max(np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+class TestAdjointSymbol:
+    def test_values_are_scaled_conjugate(self):
+        # psi(z) = conj(phi(z)) / conj(a_n), with m' = n and n' = m
+        gen = np.random.default_rng(17)
+        z = gen.normal(size=32) + 1j * gen.normal(size=32)
+        for _ in range(50):
+            sym = random_symbol(gen, max_n=4)
+            if sym.n == 0:
+                continue
+            psi = adjoint_symbol(sym)
+            assert (psi.m, psi.n) == (sym.n, sym.m)
+            want = np.conj(sym.eval(z)) / np.conj(sym.ana[-1])
+            assert np.allclose(psi.eval(z), want, rtol=1e-12, atol=1e-12)
+
+    def test_n_zero_rejected(self):
+        with pytest.raises(ValueError):
+            adjoint_symbol(HarmonicPolySymbol(2, (0.5,), (1.0,)))
+
+    def test_index_negates(self):
+        # phi_0 zeros at least 0.05 off the circle, so both indices are sharp
+        gen = np.random.default_rng(23)
+        for _ in range(60):
+            m, n = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+            inside = int(gen.integers(0, m + n + 1))
+            mods = np.concatenate([gen.uniform(0.3, 0.95, inside),
+                                   gen.uniform(1.05, 3.0, m + n - inside)])
+            cs = np.array([1.0 + 0j])
+            for r in mods * np.exp(2j * np.pi * gen.uniform(size=m + n)):
+                cs = np.convolve(cs, np.array([1.0, -1.0 / r]))
+            sym = HarmonicPolySymbol(m, tuple(cs[1:m]), tuple(cs[m:]))
+            index = spectrum.fredholm_index(sym, 0)
+            assert index == m - inside
+            assert spectrum.fredholm_index(adjoint_symbol(sym), 0) == -index
 
 
 class TestSpecialToQuadratic:
