@@ -14,7 +14,7 @@ from .finsect import (SigmaGrid, ToeplitzTruncation, apply_symbol, min_singular_
 from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,
                      MembershipVerdict, closed_form_kernel_czn,
                      coburn_classify, kernel_dimension, l2_membership,
-                     recursion_general, recursion_special_family)
+                     recursion_general)
 from .odekernel import OdeKernelBasis, residual_check, taylor_coefficients
 from .spectrum import (RegionVerdict, SpectrumVerdict, WindingResult,
                        classify_projective, curve_windings, fredholm_index,

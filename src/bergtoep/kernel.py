@@ -14,18 +14,21 @@ phi = conj(z)^m + f (q = z^m, every anti_i zero) it is
     d_{m+k} = -((m+1+k)/(k+1)) * sum_{i=0}^{k} a_{k-i} d_i,    k >= 0,
 
 and kernel_dimension takes (m, f) as shorthand for zbar_power_plus(m, f),
-so one recursion serves both.  d_{m+k} reads d_{m+k-i} (anti_i != 0) and
+and a family symbol with gamma != 0 as psi = phi/gamma (same kernel), so
+one recursion serves all.  d_{m+k} reads d_{m+k-i} (anti_i != 0) and
 d_{k-i} (a_i != 0) only, so the positions split into residue classes mod
-the gcd g of the shifts i and m + i (g = m + n for conj(z)^m + c z^n),
-each a recursion of its own.  A unit seed lies in one class, and only that
-class is computed; every other entry is the signed zero the full
-recursion computes from zeros.  Membership of the resulting power series
-in the Bergman space is decided from the asymptotics of the recursion: the
-coefficient functions converge, so consecutive-term ratios stabilize at a
-characteristic root (the reciprocals of the associated-polynomial zeros),
-and geometric growth or decay of |d_k| is the observable that separates
-square-summable streams from divergent ones.  Streams on the exact
-boundary are reported as undecided, never rounded.
+the gcd g of the shifts i and m + i (g = m + n for conj(z)^m + c z^n, and
+g = m for the family with beta != 0: its t = z^m), each a recursion of
+its own.  A unit seed lies in one class, and only that class is
+computed; every other entry is the signed zero the full recursion
+computes from zeros.
+Membership of the resulting power series in the Bergman space is decided
+from the asymptotics of the recursion: the coefficient functions
+converge, so consecutive-term ratios stabilize at a characteristic root
+(the reciprocals of the associated-polynomial zeros), and geometric
+growth or decay of |d_k| is the observable that separates square-summable
+streams from divergent ones.  Streams on the exact boundary are reported
+as undecided, never rounded.
 
 Growth can exceed the double range long before K = 20000, so streams are
 generated with block renormalization: stored values are mantissas with a
@@ -40,8 +43,9 @@ l2_membership then answers undecided rather than read it.
 
 How many terms a verdict needs follows from the zeros, not from the
 stream.  By the Poincare theorem each seed stream behaves like
-k^p rho^k, with rates rho = 1/|z| over the zeros z of phi_0 (|t|^(-1/m)
-over the zeros t of the t-quadratic for the special family).  With
+k^p rho^k, with rates rho = |t|^(-1/g) over the zeros t of the P with
+phi_0(z) = P(z^g) (the t-quadratic for the family with beta != 0, 1 + c t
+for conj(z)^m + c z^n).  With
 eps = |1 - rho| for the rate nearest 1 and x = K eps, the terms
 |d_k|^2/(k+1) ~ k^(2p-1) exp(-2 eps k) give the dyadic comparison of
 l2_membership the limit
@@ -54,7 +58,7 @@ Until then a member stream is reported non_member.  The ratio route has
 the same bias: its estimate rho (1 + p/K) lies on the wrong side of 1
 while x < p.  A verdict is therefore trusted only once K eps reaches
 RESOLUTION.  On the corpus c = 1 +- 10^-j, j = 1..5 (conj(z)^m + c z^n
-with p = m/(m+n) <= 1, and special-family symbols with one t-zero at
+with p = m/(m+n) <= 1, and family symbols with one t-zero at
 e^0.7i/c and p up to 1.24) the largest K eps with a wrong verdict is
 2.23, and RESOLUTION doubles it, so that K/2 is past it as well.  p grows
 without bound as the two t-zeros of a family symbol approach each other,
@@ -75,7 +79,8 @@ it by the seed count less one.  With dim ker = index + dim coker,
         <= min(m - [a seed is non_member], index + n - [a coker seed is non_member]),
 
 and for n = 0 the adjoint is analytic and injective, so dim ker = index.
-When the two sides meet, that is the dimension.
+When the two sides meet, that is the dimension; sides that cross show a
+seed verdict that is still wrong at that K.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -90,7 +96,7 @@ import numpy as np
 
 from . import cpoly as _cp
 from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, adjoint_symbol,
-                      associated_poly, special_to_quadratic, zbar_power_plus)
+                      associated_poly, zbar_power_plus)
 
 _BLOCK = 512
 _BLOCK_LIMIT = 1e100
@@ -168,7 +174,9 @@ class CoefficientStream:
 
 
 def _log_moduli(mods: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """log(mod) + scale where mod is nonzero, -inf where it is zero.
+    """log(mod) + scale where mod is a normal double, -inf where it is zero
+    or subnormal (a decaying stream stalls there at a few ulps, whose
+    ratios read as rate 1).
 
     Each entry is ``math.log(mod) + scale``, the value a per-term
     ``math.log`` call gives; numpy's vectorized log may round differently.
@@ -176,7 +184,7 @@ def _log_moduli(mods: np.ndarray, scales: np.ndarray) -> np.ndarray:
     it never reads as a zero entry.
     """
     out = np.full(len(mods), -np.inf)
-    idx = np.flatnonzero(mods != 0.0)
+    idx = np.flatnonzero(~(mods < sys.float_info.min))
     logs = np.fromiter(map(math.log, mods[idx].tolist()), dtype=float, count=len(idx))
     out[idx] = logs + scales[idx]
     return out
@@ -207,53 +215,13 @@ def _apply_owed(mant: np.ndarray, owed: Sequence[tuple[int, float]]) -> None:
                 np.add(r0, i, out=i)
 
 
-class _ScaledScatter:
-    """Sparse emission of (position, value, value-scale) into a stream.
-
-    Stored mantissas share one stream scale (raised when emissions grow);
-    entries far below the stream scale underflow to zero mantissas, but
-    their true log magnitudes are kept exactly.  Raising the scale shrinks
-    no stored entry at once: ``shrink`` records the factor the entries
-    emitted so far owe, and ``finish`` applies the owed factors in order.
-
-    Hot loops may append to ``pos``, ``vals``, ``mods`` and ``vscales``
-    directly, calling ``shrink`` when ``emit`` would have.
-    """
-
-    def __init__(self, K: int, stride: int):
-        self.K = K
-        self.pos: list[int] = []
-        self.vals: list[complex] = []
-        self.mods: list[float] = []
-        self.vscales: list[float] = []
-        self.scale = 0.0
-        self.stride = stride
-        self._owed: list[tuple[int, float]] = []
-
-    def emit(self, pos: int, v: complex, vscale: float) -> None:
-        rel = vscale - self.scale
-        if rel > 230.0:
-            self.shrink(vscale)
-            rel = 0.0
-        self.pos.append(pos)
-        self.vals.append(v * math.exp(rel) if rel > -745.0 else 0j)
-        self.mods.append(abs(v))
-        self.vscales.append(vscale)
-
-    def shrink(self, vscale: float) -> None:
-        """Raise the stream scale to vscale; the entries emitted so far owe the factor."""
-        self._owed.append((len(self.vals), math.exp(-(vscale - self.scale))))
-        self.scale = vscale
-
-    def finish(self) -> CoefficientStream:
-        emitted = np.array(self.vals, dtype=complex)
-        _apply_owed(emitted, self._owed)
-        mant = np.zeros(self.K + 1, dtype=complex)
-        mant[self.pos] = emitted
-        mods = np.array(self.mods, dtype=float)
-        logmag = np.full(self.K + 1, -np.inf)
-        logmag[self.pos] = _log_moduli(mods, np.array(self.vscales, dtype=float))
-        return CoefficientStream(mant, logmag, self.scale, self.stride)
+def _shift_gcd(sym: HarmonicPolySymbol) -> int:
+    """The gcd g (1 for none) of the shifts the kernel recursion reads back
+    by: i for anti_i != 0 and m + i for a_i != 0, the exponents of phi_0's
+    nonconstant terms, so that phi_0(z) = P(z^g)."""
+    m = sym.m
+    return math.gcd(*(i for i, c in enumerate(sym.anti, start=1) if c != 0),
+                    *(m + i for i, a in enumerate(sym.ana) if a != 0)) or 1
 
 
 def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
@@ -291,8 +259,7 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     # most (m + K + 1) * size * hard <= 1e300: large coefficients lower it
     size = sum(abs(c) for _, c in anti) + sum(abs(a) for _, a in ana)
     hard = min(_HARD_LIMIT, max(1.0, 1e300 / ((m + K + 1) * max(size, 1.0))))
-    # the shifts the recursion reads back by, and the seed's class mod their gcd
-    g = math.gcd(*(m - off for off, _ in anti), *(m + i for i, _ in ana))
+    g = _shift_gcd(sym)
     classes = {j % g for j, v in enumerate(seed) if v} if g > 1 else ()
     stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
     # the full recursion's value at a skipped position, by its own expression,
@@ -352,54 +319,6 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     return CoefficientStream(mant, logmag, scale, m)
 
 
-def recursion_special_family(m: int, alpha: complex, beta: complex,
-                             seed_index: int, K: int) -> CoefficientStream:
-    """Kernel recursion for conj(z)^m + alpha z^m + beta on one residue class.
-
-    With b_k = d_k/(k+1) the recursion decouples along k = seed_index mod m:
-
-        b_{k+m} = -beta b_k - alpha ((k-m+1)/(k+1)) b_{k-m},
-
-    started from b_{seed_index} = 1 (so b_{seed_index+m} = -beta).  All
-    other coefficients vanish.
-    """
-    if not 0 <= seed_index <= m - 1:
-        raise ValueError("seed_index must lie in 0..m-1")
-    if K < m:
-        raise ValueError("K must be at least m")
-    alpha = complex(alpha)
-    beta = complex(beta)
-    sink = _ScaledScatter(K, m)
-    # _ScaledScatter.emit, inlined: the sink only sees the rare shrink
-    pos, vals, mods, vscales = sink.pos, sink.vals, sink.mods, sink.vscales
-    b_prev: Optional[complex] = None
-    b_cur = 1.0 + 0j
-    wscale = 0.0  # window scale: true b = stored b * exp(wscale)
-    for k in range(seed_index, K + 1, m):
-        v = (k + 1) * b_cur
-        rel = wscale - sink.scale
-        if rel > 230.0:
-            sink.shrink(wscale)
-            rel = 0.0
-        pos.append(k)
-        vals.append(v * math.exp(rel) if rel > -745.0 else 0j)
-        mods.append(abs(v))
-        vscales.append(wscale)
-        if b_prev is None:
-            b_next = -beta * b_cur
-        else:
-            b_next = -beta * b_cur - alpha * ((k - m + 1) / (k + 1)) * b_prev
-        b_prev, b_cur = b_cur, b_next
-        mx = max(abs(b_prev), abs(b_cur))
-        if mx > _BLOCK_LIMIT or 0.0 < mx < 1.0 / _BLOCK_LIMIT:
-            shift = math.log(mx)
-            f = math.exp(-shift)
-            b_prev *= f
-            b_cur *= f
-            wscale += shift
-    return sink.finish()
-
-
 def closed_form_kernel_czn(m: int, n: int, c: complex, j: int, K: int) -> CoefficientStream:
     """Closed-form kernel candidate for conj(z)^m + c z^n, seed slot j.
 
@@ -407,7 +326,8 @@ def closed_form_kernel_czn(m: int, n: int, c: complex, j: int, K: int) -> Coeffi
 
         (-c)^k  prod_{i=1}^{k} (i(m+n)+1+j) / (i n + (i-1) m + 1 + j),
 
-    accumulated by running multiplication.
+    built as a sum of log magnitudes and a phase (-c/|c|)^k; the scale is
+    the largest log magnitude, or 0 when every entry is at most 1.
     """
     if not 0 <= j <= m - 1:
         raise ValueError("j must lie in 0..m-1")
@@ -415,22 +335,18 @@ def closed_form_kernel_czn(m: int, n: int, c: complex, j: int, K: int) -> Coeffi
         raise ValueError("K must be positive")
     c = complex(c)
     step = m + n
-    sink = _ScaledScatter(K, m)
-    val = 1.0 + 0j
-    wscale = 0.0
-    k = 0
-    pos = j
-    while pos <= K:
-        sink.emit(pos, val, wscale)
-        k += 1
-        val = val * (-c) * (k * step + 1 + j) / (k * n + (k - 1) * m + 1 + j)
-        a = abs(val)
-        if a > _BLOCK_LIMIT or 0.0 < a < 1.0 / _BLOCK_LIMIT:
-            shift = math.log(a)
-            val *= math.exp(-shift)
-            wscale += shift
-        pos = k * step + j
-    return sink.finish()
+    count = len(range(j, K + 1, step))
+    i = np.arange(1, count, dtype=float)
+    with np.errstate(divide="ignore"):   # c = 0: log|c| = -inf past k = 0
+        ratios = (i * step + 1 + j) / (i * n + (i - 1) * m + 1 + j)
+        lm = np.cumsum(np.concatenate(([0.0], np.log(abs(c)) + np.log(ratios))))[:count]
+    phase = np.exp(1j * cmath.phase(-c) * np.arange(count))
+    scale = float(lm.max(initial=0.0))
+    mant = np.zeros(K + 1, dtype=complex)
+    logmag = np.full(K + 1, -np.inf)
+    mant[j::step] = np.exp(lm - scale) * phase
+    logmag[j::step] = lm
+    return CoefficientStream(mant, logmag, scale, m)
 
 
 @dataclass(frozen=True)
@@ -536,8 +452,8 @@ class KernelReport:
     seeds span the kernel, and basis holds their streams), adjoint_bounds
     (the adjoint bounds meet; basis is empty, because the kernel vectors
     combine non-member seeds) or analytic (an injective multiplication
-    operator).  bounds is (lo, hi) whenever the adjoint ran; bounds that
-    meet decide only when every seed on both sides is decided.
+    operator).  bounds is (lo, hi) when the adjoint ran and lo <= hi;
+    bounds that meet decide only when every seed on both sides is decided.
     """
 
     dim: Optional[int]
@@ -592,56 +508,52 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     verdicts are generic-direction evidence.  Any undecided seed makes the
     overall dimension undecided (dim None), never a silent 0 or 1.
 
-    K is a cap.  One zero_pattern call on phi_0 (the t-quadratic for the
-    special family) gives the growth rate rho nearest 1 and the index at
-    lambda = 0, and the rule is the same for every symbol kind:
+    K is a cap.  One zero_pattern call on the P with phi_0(z) = P(z^g)
+    gives the growth rate rho nearest 1 and the index m - g N(P) at
+    lambda = 0, and the rule is the same for every symbol:
 
     * resolvable: start at the smallest power of two >= max(K_START,
       RESOLUTION/|1 - rho|), and double, up to the cap, until every seed's
       verdict at K equals its verdict at K/2; a seed that still changes at
       the cap is undecided (route unresolved).  Settled verdicts that count
       fewer members than the index first get bounds from the adjoint (see
-      _adjoint_bounds; a general symbol only).  When the bounds meet and
-      every seed on both sides is decided, dim is their common value
-      (dim_route adjoint_bounds, empty basis: the kernel vectors combine
-      non-member seeds).  Otherwise, and for the special family, the seeds
-      get one more run, at the cap: a large k^p prefactor (nearly equal
-      zeros) can hold a member stream on the non-member side well past
-      RESOLUTION;
-    * on the circle (a zero within CIRCLE_TOL of it): the rho = 1 profile
-      decides, read at K_START terms (route on_circle);
+      _adjoint_bounds), once per call.  When the bounds meet and every
+      seed on both sides is decided, dim is their common value (dim_route
+      adjoint_bounds, empty basis: the kernel vectors combine non-member
+      seeds).  Otherwise the seeds get one more run, at the cap: a large
+      k^p prefactor (nearly equal zeros) can hold a member stream on the
+      non-member side well past RESOLUTION;
+    * on the circle (a zero of P within CIRCLE_TOL of it): the rho = 1
+      profile decides, read at K_START terms (route on_circle);
     * below resolution (cap |1 - rho| < RESOLUTION): one run at the cap,
       every seed undecided (route unresolved);
     * zeros not found: one run at the cap, as l2_membership decides.
 
     A count below max(index, 0) contradicts dim ker >= index, so the report
     is then undecided, the seed verdicts unchanged, and its reason names
-    the adjoint bounds when they were computed.  A seed stream that
+    the adjoint bounds when they were recorded.  A seed stream that
     overflows (route non_finite) makes the report undecided at once.  Every
     undecided report carries a reason; a decided one says how dim was found
-    (dim_route), and bounds holds (lo, hi) whenever the adjoint ran.
+    (dim_route).  bounds holds (lo, hi) when the adjoint ran and lo <= hi.
 
-    A tuple (m, f) is shorthand for zbar_power_plus(m, f).
+    A tuple (m, f) is shorthand for zbar_power_plus(m, f); a family symbol
+    runs as psi = phi/gamma, or for gamma = 0 is an injective
+    multiplication (dim_route analytic).
     """
-    if not isinstance(sym, (HarmonicPolySymbol, SpecialFamilySymbol)):
-        sym = zbar_power_plus(*sym)
     if isinstance(sym, SpecialFamilySymbol):
         if sym.gamma == 0:
             # analytic symbol alpha z^m + beta: multiplication operator,
             # injective whenever the symbol is not identically zero
             return KernelReport(0, False, (), (), dim_route=ANALYTIC)
-        norm = sym.normalized()
-        m = norm.m
-        poly, per_zero = special_to_quadratic(norm), m   # a zero t is m zeros z = t^(1/m)
+        sym = sym.as_harmonic()
+    elif not isinstance(sym, HarmonicPolySymbol):
+        sym = zbar_power_plus(*sym)
+    m = sym.m
+    g = _shift_gcd(sym)
+    poly = _cp.CPoly.make(associated_poly(sym).coeffs[::g])   # phi_0(z) = P(z^g)
 
-        def run(k):
-            return [recursion_special_family(m, norm.alpha, norm.beta, j, k) for j in range(m)]
-    else:
-        m = sym.m
-        poly, per_zero = associated_poly(sym), 1
-
-        def run(k):
-            return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]
+    def run(k):
+        return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]
 
     def judge(streams):
         return [l2_membership(s, ratio_tol) for s in streams]
@@ -654,8 +566,8 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     if zp.in_disk is None:
         streams = run(min(K, K_START))
         return _count(streams, _override(judge(streams), route=ON_CIRCLE), None)
-    index = m - per_zero * zp.in_disk
-    gap = min((abs(1.0 - mu ** (-1.0 / per_zero)) for mu in zp.moduli), default=math.inf)
+    index = m - g * zp.in_disk   # a zero t of P is g zeros z = t^(1/g)
+    gap = min((abs(1.0 - mu ** (-1.0 / g)) for mu in zp.moduli), default=math.inf)
     if K * gap < RESOLUTION:
         streams = run(K)
         verdicts = _override(judge(streams), status=UNDECIDED, route=UNRESOLVED)
@@ -665,7 +577,7 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     while k * gap < RESOLUTION:
         k *= 2
     k = min(k, K)
-    bounds = None
+    bounds, adjoint_ran = None, False
     while True:
         streams = run(k)
         verdicts = judge(streams)
@@ -676,12 +588,14 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
         unsettled = [j for j, (v, h) in enumerate(zip(verdicts, halves))
                      if v.status != h.status]
         short = not unsettled and sum(v.status == MEMBER for v in verdicts) < index
-        if short and bounds is None and isinstance(sym, HarmonicPolySymbol):
+        if short and not adjoint_ran:
+            adjoint_ran = True
             lo, hi, decided = _adjoint_bounds(sym, verdicts, index, K, ratio_tol)
-            bounds = (lo, hi)
-            if decided and lo == hi:
-                return KernelReport(lo, False, tuple(verdicts), (),
-                                    dim_route=ADJOINT_BOUNDS, bounds=bounds)
+            if lo <= hi:   # lo > hi: some seed verdict at this K is wrong
+                bounds = (lo, hi)
+                if decided and lo == hi:
+                    return KernelReport(lo, False, tuple(verdicts), (),
+                                        dim_route=ADJOINT_BOUNDS, bounds=bounds)
         if k == K or not (unsettled or short):
             break
         # an unsettled seed doubles K; a count below the index that the

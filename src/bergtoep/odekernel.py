@@ -132,17 +132,6 @@ def _adaptive_gk_lanes(f, n: int, a: float, b: float, tol: float,
     return out
 
 
-def adaptive_gk(f, a: float = 0.0, b: float = 1.0, tol: float = 1e-12,
-                max_panels: int = _MAX_PANELS) -> complex:
-    """Adaptive Gauss-Kronrod integral of a complex-valued f on [a, b].
-
-    The one-lane call of `_adaptive_gk_lanes`; f takes a 1-D array of nodes.
-    """
-    def rows(lanes, x):
-        return np.asarray(f(x.reshape(-1)), dtype=complex).reshape(x.shape)
-    return _adaptive_gk_lanes(rows, 1, a, b, tol, max_panels)[0]
-
-
 def _cexpm1(w: np.ndarray) -> np.ndarray:
     """exp(w) - 1 without cancellation for small complex w."""
     w = np.asarray(w, dtype=complex)

@@ -135,6 +135,29 @@ def check_coburn_table(rng, trials):
     return not bad, {"mismatches": bad}
 
 
+def check_family_kernel_vs_t_quadratic(rng, trials):
+    """Decided kernel dims of gamma conj(z)^m + alpha z^m + beta against
+    m [no zero of the t-quadratic alpha t^2 + beta t + gamma in the closed
+    disk]; draws with a t-zero within 1e-6 of the circle are skipped."""
+    bad = []
+    undecided = done = 0
+    while done < trials:
+        m = int(rng.integers(1, 4))
+        alpha, beta, gamma = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(3))
+        sym = SpecialFamilySymbol(m, alpha, beta, gamma)
+        count = cpoly.zero_pattern(symbols.special_to_quadratic(sym), 1e-6).in_disk
+        if count is None:
+            continue
+        done += 1
+        rep = kernel.kernel_dimension(sym)
+        if rep.undecided:
+            undecided += 1
+        elif rep.dim != m * (count == 0):
+            bad.append({"symbol": symbols.to_json(sym), "dim": rep.dim,
+                        "t_zeros_in_disk": count})
+    return not bad, {"trials": trials, "undecided": undecided, "mismatches": bad}
+
+
 def check_ellipse_vs_classify(rng, trials):
     bad = []
     for _ in range(trials):
@@ -162,13 +185,12 @@ def check_ellipse_vs_classify(rng, trials):
 
 def span_angle(basis: odekernel.OdeKernelBasis, K: int) -> float:
     """Largest principal angle between the spans of the first K Taylor
-    coefficients of g_1..g_m and of the m residue-class recursions."""
-    m, alpha, beta = basis.m, basis.alpha, basis.beta
+    coefficients of g_1..g_m and of the m unit-seed kernel recursions."""
+    m = basis.m
+    psi = SpecialFamilySymbol(m, basis.alpha, basis.beta).as_harmonic()
     ode = np.vstack([odekernel.taylor_coefficients(basis, j, K) for j in range(1, m + 1)])
-    rec = np.vstack([
-        kernel.recursion_special_family(m, alpha, beta, j, K - 1).coefficients()
-        for j in range(m)
-    ])
+    rec = np.vstack([kernel.recursion_general(psi, np.eye(m)[j], K - 1).coefficients()
+                     for j in range(m)])
     qa, _ = np.linalg.qr(ode.conj().T)
     qb, _ = np.linalg.qr(rec.conj().T)
     sv = np.clip(np.linalg.svd(qa.conj().T @ qb, compute_uv=False), 0.0, 1.0)
@@ -210,4 +232,5 @@ ORACLES = (
     ("coburn-table", check_coburn_table, 1),
     ("ellipse-vs-classify", check_ellipse_vs_classify, 20),
     ("odekernel-span", check_odekernel_span, 1),
+    ("family-kernel-vs-t-quadratic", check_family_kernel_vs_t_quadratic, 200),
 )

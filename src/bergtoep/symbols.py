@@ -17,7 +17,8 @@ and the growth of the kernel coefficient recursions.
 
 The special one-parameter family gamma*conj(z)^m + alpha*z^m + beta gets
 its own type; on the circle it reduces to the quadratic
-alpha*t^2 + (beta-lam)*t + gamma in t = z^m, divided by z^m.
+alpha*t^2 + (beta-lam)*t + gamma in t = z^m, divided by z^m.  For
+gamma != 0 it is gamma times the harmonic symbol `as_harmonic` returns.
 """
 
 from __future__ import annotations
@@ -110,6 +111,14 @@ class SpecialFamilySymbol:
             raise ValueError("gamma = 0 has no normalized form")
         return SpecialFamilySymbol(self.m, self.alpha / self.gamma,
                                    self.beta / self.gamma, 1.0 + 0j)
+
+    def as_harmonic(self) -> HarmonicPolySymbol:
+        """psi = conj(z)^m + beta/gamma + (alpha/gamma) z^m, so that phi = gamma psi
+        and T_phi has the kernel of T_psi; requires gamma != 0."""
+        norm = self.normalized()
+        f = [0j] * (self.m + 1)
+        f[0], f[self.m] = norm.beta, norm.alpha
+        return zbar_power_plus(self.m, f)
 
 
 Symbol = Union[HarmonicPolySymbol, SpecialFamilySymbol]

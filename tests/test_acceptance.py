@@ -250,3 +250,13 @@ def test_criterion_8_region_classifier():
     assert compared >= 4000
     _report(8, "region classifier cross-check",
             f"({compared} compared, {skipped_margin} below margin)")
+
+
+def test_family_kernel_vs_t_quadratic():
+    """Family kernels on the harmonic-symbol route match the t-quadratic, 1000 symbols."""
+    t0 = time.monotonic()
+    ok, detail = oracles.check_family_kernel_vs_t_quadratic(np.random.default_rng(20240609), 1000)
+    assert ok, detail
+    assert detail["undecided"] <= 10
+    print(f"\n[acceptance] family kernel vs t-quadratic: PASS (1000 symbols, "
+          f"{detail['undecided']} undecided, {time.monotonic() - t0:.1f}s)")

@@ -108,9 +108,9 @@ class TestMinSingularValue:
         assert min_singular_value(T2, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_kernel_stream_annihilated(self):
-        from bergtoep.kernel import recursion_special_family
+        from bergtoep.kernel import recursion_general
         sym = SpecialFamilySymbol(1, 0.25, 0.0)
-        s = recursion_special_family(1, 0.25, 0.0, 0, 200)
+        s = recursion_general(sym.as_harmonic(), [1.0], 200)
         out = apply_symbol(sym, s.coefficients())
         assert np.max(np.abs(out[:190])) <= 1e-10
 

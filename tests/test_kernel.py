@@ -7,7 +7,7 @@ import pytest
 from bergtoep import cli, cpoly, finsect, kernel, spectrum
 from bergtoep.kernel import (CoefficientStream, closed_form_kernel_czn,
                              coburn_classify, kernel_dimension, l2_membership,
-                             recursion_general, recursion_special_family)
+                             recursion_general)
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, to_json,
                               zbar_power_plus)
 
@@ -74,41 +74,59 @@ class TestGeneralRecursion:
             assert np.allclose(mix, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
+def family_stream(m, alpha, beta, j, K, gamma=1.0):
+    """recursion_general on psi = phi/gamma for the family symbol, unit seed j."""
+    psi = SpecialFamilySymbol(m, alpha, beta, gamma).as_harmonic()
+    return recursion_general(psi, unit_seed(m, j), K)
+
+
+def three_term(m, alpha, beta, j, K):
+    """The family recursion in t = z^m, with b_k = d_k/(k+1) on the class of j:
+
+        b_{k+m} = -beta b_k - alpha ((k-m+1)/(k+1)) b_{k-m},
+
+    from b_j = 1/(j+1), the unit seed d_j = 1."""
+    d = np.zeros(K + 1, dtype=complex)
+    b_prev, b = 0j, 1.0 / (j + 1)
+    for k in range(j, K + 1, m):
+        d[k] = (k + 1) * b
+        b_prev, b = b, -beta * b - alpha * ((k - m + 1) / (k + 1)) * b_prev
+    return d
+
+
 class TestSpecialFamilyRecursion:
     def test_shifted_identity_family(self):
-        # conj(z) - 1: b stays constant, d_k = k+1, not square-summable
-        s = recursion_special_family(1, 0.0, -1.0, 0, 400)
+        # conj(z) - 1: d_k = k+1, not square-summable
+        s = family_stream(1, 0.0, -1.0, 0, 400)
         d = s.coefficients()
         assert np.allclose(d, np.arange(401) + 1)
         assert l2_membership(s).status == kernel.NON_MEMBER
 
     def test_pure_antianalytic(self):
-        s = recursion_special_family(2, 0.0, 0.0, 1, 30)
+        s = family_stream(2, 0.0, 0.0, 1, 30)
         d = s.coefficients()
-        assert d[1] == 2.0  # b_1 = 1 means d_1 = 2
+        assert d[1] == 1.0
         assert np.all(np.delete(d, 1) == 0)
 
     def test_matches_closed_form_up_to_seed_scale(self):
-        # alpha = 1/4, beta = 0 matches the c z^n closed form with m = n = 1
-        s = recursion_special_family(1, 0.25, 0.0, 0, 80)
+        # alpha = 1/4, beta = 0 matches the c z^n closed form with m = n = 1;
+        # both start from d_0 = 1
+        s = family_stream(1, 0.25, 0.0, 0, 80)
         cf = closed_form_kernel_czn(1, 1, 0.25, 0, 80)
         assert np.allclose(s.coefficients(), cf.coefficients(), rtol=1e-12, atol=1e-15)
 
     def test_matches_general_recursion_all_residues(self):
+        # the t = z^m three-term recursion against recursion_general on psi,
+        # gamma scaled out
         gen = np.random.default_rng(17)
         for _ in range(15):
             m = int(gen.integers(1, 4))
             alpha = complex(*gen.uniform(-1, 1, 2))
             beta = complex(*gen.uniform(-1, 1, 2))
+            gamma = complex(*gen.uniform(0.5, 2, 2))
             k0 = int(gen.integers(0, m))
-            f = [0j] * (m + 1)
-            f[0] = beta
-            f[m] = alpha
-            sym = zbar_power_plus(m, f)
-            seed = [0j] * m
-            seed[k0] = k0 + 1.0  # b_{k0} = 1 means d_{k0} = k0+1
-            a = recursion_special_family(m, alpha, beta, k0, 90).coefficients()
-            b = recursion_general(sym, seed, 90).coefficients()
+            a = three_term(m, alpha / gamma, beta / gamma, k0, 90)
+            b = family_stream(m, alpha, beta, k0, 90, gamma).coefficients()
             scale = max(1.0, float(np.max(np.abs(b))))
             assert np.allclose(a, b, rtol=0, atol=1e-12 * scale)
 
@@ -192,15 +210,21 @@ class TestMembership:
         assert v.route == ("ratio" if r != 1.0 else "dyadic"), v
 
     def test_ratio_limit_is_dominant_characteristic_root(self):
-        # b_{k+m} + beta b_k + alpha (...) b_{k-m} = 0 has characteristic
-        # roots x^2 + beta x + alpha; with roots 0.7 and 0.3 the generic
-        # solution tracks 0.7
+        # conj(z) + beta + alpha z: b_{k+1} + beta b_k + alpha (...) b_{k-1} = 0
+        # has characteristic roots x^2 + beta x + alpha; with roots 0.7 and
+        # 0.3 the generic solution tracks 0.7
         lam0, lam1 = 0.7, 0.3
         beta, alpha = -(lam0 + lam1), lam0 * lam1
-        s = recursion_special_family(1, alpha, beta, 0, 20000)
+        v = l2_membership(family_stream(1, alpha, beta, 0, 1500))
+        assert (v.status, v.route) == (kernel.MEMBER, "ratio")
+        assert v.estimated_ratio_modulus == pytest.approx(lam0, rel=1e-2)
+        # by K = 20000 the stream has decayed through the subnormal range
+        # to zero; subnormal entries count as zeros, never as ratios near 1
+        s = family_stream(1, alpha, beta, 0, 20000)
+        assert np.any((s.mant != 0) & (np.abs(s.mant) < np.finfo(float).tiny))
         v = l2_membership(s)
         assert v.status == kernel.MEMBER
-        assert v.estimated_ratio_modulus == pytest.approx(lam0, rel=1e-2)
+        assert v.estimated_ratio_modulus is None
 
     def test_norm_partials_nondecreasing(self):
         s = closed_form_kernel_czn(1, 1, 0.9, 0, 2000)
@@ -359,6 +383,26 @@ class TestAdjointBounds:
         assert [s.m for s in recursion_calls] == [m] * m + [n] * n
         assert max(v.terms_used for v in rep.verdicts) < 20000
 
+    def test_crossed_bounds_not_recorded(self, monkeypatch):
+        # t-zeros e^0.7i/0.98 and 1.2 e^0.7i (m = 1, index 1): at K = 256
+        # the seed reads non_member, so the bounds cross at (1, 0).  They are
+        # not recorded, the adjoint runs once, and the run at the cap decides
+        t1, t2 = np.exp(0.7j) / 0.98, 1.2 * np.exp(0.7j)
+        alpha = 1 / (t1 * t2)
+        psi = SpecialFamilySymbol(1, alpha, -alpha * (t1 + t2)).as_harmonic()
+        found = []
+
+        def spy(*args):
+            found.append(adjoint_bounds(*args))
+            return found[-1]
+        adjoint_bounds = kernel._adjoint_bounds
+        monkeypatch.setattr(kernel, "_adjoint_bounds", spy)
+        rep = kernel_dimension(psi)
+        assert found == [(1, 0, True)]
+        assert (rep.dim, rep.dim_route, rep.bounds, rep.reason) == (
+            1, kernel.SEED_COUNT, None, None)
+        assert [(v.status, v.terms_used) for v in rep.verdicts] == [(kernel.MEMBER, 20000)]
+
     def test_unclosed_bounds_run_at_the_cap(self, capsys):
         # m = 3, index 1: a non_member seed caps dim ker at 2, and the
         # adjoint (m' = 2, no member seed) at index + n - 1 = 2, so the
@@ -476,8 +520,8 @@ class TestAdaptiveK:
         lambda K: recursion_general(zbar_power_plus(2, [0, 3.0]), [0, 1.0], K),
         lambda K: recursion_general(HarmonicPolySymbol(2, (0.4 - 0.2j,), (0.5, 1.5)),
                                     [1.0, 0j], K),
-        lambda K: recursion_special_family(2, 0.3, 2.5, 1, K),
-        lambda K: recursion_special_family(1, 0.25, 0.1, 0, K),
+        lambda K: family_stream(2, 0.3, 2.5, 1, K),
+        lambda K: family_stream(1, 0.25, 0.1, 0, K),
     ])
     def test_prefix_verdict_equals_shorter_run(self, run):
         # the K/2 verdict is read from the K run: its log magnitudes, all
@@ -536,7 +580,7 @@ class TestStreamPlumbing:
             (zbar_power_plus(2, [0, 0.5]),
              recursion_general(zbar_power_plus(2, [0, 0.5]), unit_seed(2, 1), 300)),
             (SpecialFamilySymbol(1, 0.25, 0.1),
-             recursion_special_family(1, 0.25, 0.1, 0, 300)),
+             family_stream(1, 0.25, 0.1, 0, 300)),
             (zbar_power_plus(1, [2.0]),
              recursion_general(zbar_power_plus(1, [2.0]), [1.0], 100)),
             (HarmonicPolySymbol(2, (0.4 - 0.2j,), (0.5, 1.5)),

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bergtoep import kernel, odekernel
-from bergtoep.odekernel import (_GAUSS_IDX, _WG, _WK, _XK, OdeKernelBasis, adaptive_gk,
-                                residual_check, taylor_coefficients)
+from bergtoep.odekernel import (_GAUSS_IDX, _WG, _WK, _XK, OdeKernelBasis, residual_check,
+                                taylor_coefficients)
+from bergtoep.symbols import SpecialFamilySymbol
 
 
 def subspace_angle(A, B):
@@ -13,19 +14,24 @@ def subspace_angle(A, B):
     return float(np.arccos(sv.min()))
 
 
+def one_lane(f, tol=1e-12, max_panels=odekernel._MAX_PANELS):
+    """The adaptive Gauss-Kronrod integral of f on [0, 1], as one lane."""
+    return odekernel._adaptive_gk_lanes(lambda lanes, s: f(s), 1, 0.0, 1.0, tol, max_panels)[0]
+
+
 class TestQuadrature:
     def test_polynomial_exact(self):
-        val = adaptive_gk(lambda s: 3 * s**2 + 1j * s, 0, 1)
+        val = one_lane(lambda s: 3 * s**2 + 1j * s)
         assert val == pytest.approx(1 + 0.5j, abs=1e-13)
 
     def test_oscillatory(self):
-        val = adaptive_gk(lambda s: np.exp(40j * s), 0, 1)
+        val = one_lane(lambda s: np.exp(40j * s))
         want = (np.exp(40j) - 1) / 40j
         assert abs(val - want) < 1e-11
 
     def test_panel_budget_exhaustion(self):
         with pytest.raises(odekernel.QuadratureError):
-            adaptive_gk(lambda s: np.exp(400j * s), 0, 1, tol=1e-14, max_panels=2)
+            one_lane(lambda s: np.exp(400j * s), tol=1e-14, max_panels=2)
 
 
 class TestBasisConstruction:
@@ -143,10 +149,9 @@ class TestSpanAgreement:
         b = OdeKernelBasis(m, alpha, beta)
         K = 40
         ode = np.vstack([taylor_coefficients(b, j, K) for j in range(1, m + 1)])
-        rec = np.vstack([
-            kernel.recursion_special_family(m, alpha, beta, j, K - 1).coefficients()
-            for j in range(m)
-        ])
+        psi = SpecialFamilySymbol(m, alpha, beta).as_harmonic()
+        rec = np.vstack([kernel.recursion_general(psi, np.eye(m)[j], K - 1).coefficients()
+                         for j in range(m)])
         assert subspace_angle(ode, rec) < 1e-6
 
 
@@ -280,7 +285,7 @@ class TestLaneQuadrature:
                 except odekernel.QuadratureError:
                     want = None
                 try:
-                    got = _bits(adaptive_gk(f, 0.0, 1.0, 1e-12, budget))
+                    got = _bits(one_lane(f, 1e-12, budget))
                 except odekernel.QuadratureError:
                     got = None
                 assert got == want, (w, budget)
