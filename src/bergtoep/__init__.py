@@ -17,8 +17,8 @@ from .kernel import (CoburnVerdict, CoefficientStream, KernelReport,
                      recursion_general)
 from .odekernel import OdeKernelBasis, residual_check, taylor_coefficients
 from .spectrum import (RegionVerdict, SpectrumVerdict, WindingResult,
-                       classify_projective, curve_windings, fredholm_index,
-                       membership_grid, special_family_region)
+                       classify_projective, curve_windings, family_verdict,
+                       fredholm_index, membership_grid)
 from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                       boundary_curve, special_to_quadratic, zbar_power_plus)
 

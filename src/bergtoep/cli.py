@@ -276,21 +276,6 @@ def cmd_classify(parser, args) -> int:
     return 0
 
 
-def _special_spectrum_verdict(sym: SpecialFamilySymbol, lam: complex):
-    if sym.gamma == 0:
-        region = spectrum.analytic_family_region(sym.alpha, sym.beta, lam)
-    else:
-        norm = sym.normalized()
-        region = spectrum.special_family_region(norm.m, norm.alpha, norm.beta,
-                                                complex(lam) / sym.gamma)
-    wind = None
-    if region != spectrum.BOUNDARY:
-        v = spectrum.classify_projective(sym.m, sym.alpha, sym.beta - lam, sym.gamma)
-        if v.index is not None:
-            wind = -v.index
-    return region, wind
-
-
 def cmd_spectrum(parser, args) -> int:
     sym = _require_symbol(parser, args)
     config = {"symbol": symbols.to_json(sym), "lambda": args.lam, "grid": args.grid}
@@ -299,7 +284,7 @@ def cmd_spectrum(parser, args) -> int:
         parser.error("spectrum needs --lambda or --grid")
     lams = [args.lam] if args.grid is None else _grid_points(args.grid)
     if isinstance(sym, SpecialFamilySymbol):
-        points = [_special_spectrum_verdict(sym, lam) for lam in lams]
+        points = [spectrum.family_verdict(sym, lam) for lam in lams]
     else:
         points = [(v.status, v.winding) for v in spectrum.membership_grid(
             sym, lams, curve_tol=args.tol_curve, rel_tol=args.tol_moduli)]

@@ -469,10 +469,11 @@ KernelInput = Union[HarmonicPolySymbol, SpecialFamilySymbol, tuple]
 
 # A zero whose modulus is within CIRCLE_TOL of 1 is taken to lie on the
 # circle, where the rho = 1 profile decides at any K.  Coefficients such as
-# c = 1 and unimodular c computed in floating point land there; a gap this
-# small could never be resolved anyway (K |1 - rho| >= RESOLUTION would need
-# K >= 4.5e12).
-CIRCLE_TOL = 1e-12
+# c = 1 and unimodular c computed in floating point land within a few ulps
+# of it.  A zero farther off is off the circle, on one side or the other:
+# at |1 - rho| = 1e-12 no K up to the cap resolves which, so such a symbol
+# is below resolution and undecided, never decided as on the circle.
+CIRCLE_TOL = 64 * sys.float_info.epsilon
 RESOLUTION = 4.5   # K |1 - rho| a verdict needs; see the module docstring
 K_START = 256      # fewest terms a resolvable verdict is read from
 

@@ -8,6 +8,8 @@ checks (coburn-table, odekernel-span) ignore.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from . import cpoly, finsect, kernel, odekernel, spectrum, symbols
@@ -96,6 +98,27 @@ def check_tstar_identity(rng, trials):
     return worst <= 1e-12, {"worst_residual": worst}
 
 
+def inequality_region(alpha: complex, beta: complex, gamma: complex):
+    """The pencil's Fredholm region from the closed-form inequalities, with
+    the margin of the winning predicate: (region, margin), or (None, 0.0).
+
+    d0 = |gamma|^2 - |alpha|^2, cross = |alpha conj(beta) - beta conj(gamma)|:
+    Omega0 when d0 > cross, Omega2 when -d0 > cross, Omega1 when cross > |d0|
+    > 0, and, for |alpha| = |gamma| (within 1e-9), Omega1 when |beta|^4 -
+    4 alpha gamma conj(beta)^2 is not a nonpositive real number.
+    """
+    alpha, beta, gamma = complex(alpha), complex(beta), complex(gamma)
+    d0 = abs(gamma) ** 2 - abs(alpha) ** 2
+    cross = abs(alpha * beta.conjugate() - beta * gamma.conjugate())
+    candidates = [(spectrum.OMEGA0, d0 - cross), (spectrum.OMEGA2, -d0 - cross),
+                  (spectrum.OMEGA1, min(abs(d0), cross - abs(d0)))]
+    if abs(abs(alpha) - abs(gamma)) <= 1e-9:
+        q = abs(beta) ** 4 - 4 * alpha * gamma * beta.conjugate() ** 2
+        candidates.append((spectrum.OMEGA1, max(q.real, abs(q.imag))))
+    region, margin = max(candidates, key=lambda t: t[1])
+    return (region, margin) if margin > 0 else (None, 0.0)
+
+
 def check_region_agreement(rng, trials):
     bad = []
     for _ in range(trials):
@@ -103,14 +126,14 @@ def check_region_agreement(rng, trials):
         beta = complex(*rng.uniform(-1.5, 1.5, 2))
         gamma = complex(*rng.uniform(-1.2, 1.2, 2))
         v = spectrum.classify_projective(2, alpha, beta, gamma)
-        chk = v.inequality_checks
-        if chk.region is None or chk.margin <= 1e-9 or v.region == spectrum.NOT_FREDHOLM:
+        region, margin = inequality_region(alpha, beta, gamma)
+        if margin <= 1e-9 or v.region == spectrum.NOT_FREDHOLM:
             continue
-        if not chk.agrees_with_roots:
+        if region != v.region:
             bad.append({"alpha": [alpha.real, alpha.imag],
                         "beta": [beta.real, beta.imag],
                         "gamma": [gamma.real, gamma.imag],
-                        "roots": v.region, "inequalities": chk.region})
+                        "roots": v.region, "inequalities": region})
     return not bad, {"trials": trials, "mismatches": bad}
 
 
@@ -158,28 +181,55 @@ def check_family_kernel_vs_t_quadratic(rng, trials):
     return not bad, {"trials": trials, "undecided": undecided, "mismatches": bad}
 
 
+def _band(value: float, edge: float) -> str:
+    # boundary within 1e-9 of the edge
+    if value < edge - 1e-9:
+        return spectrum.INTERIOR
+    return spectrum.EXTERIOR if value > edge + 1e-9 else spectrum.BOUNDARY
+
+
+def family_region(sym: SpecialFamilySymbol, lam: complex) -> str:
+    """Position of lam against phi(closed disk), from its closed form.
+
+    gamma = 0: the disk |w - beta| <= |alpha|.  Otherwise phi/gamma =
+    conj(z)^m + a z^m + beta/gamma, a = |a| e^{i tau}, maps the disk onto
+    the solid ellipse centered at beta/gamma with semi-axes 1 + |a| and
+    |1 - |a|| along e^{i tau/2}, a segment (no interior) when |a| = 1.
+    """
+    if sym.gamma == 0:
+        return _band(abs(complex(lam) - sym.beta), abs(sym.alpha))
+    norm = sym.normalized()
+    a = abs(norm.alpha)
+    zeta = cmath.exp(-0.5j * cmath.phase(norm.alpha)) * (complex(lam) / sym.gamma - norm.beta)
+    if abs(a - 1.0) <= 1e-12:   # the segment [-2, 2]: boundary on it, exterior off it
+        return _band(max(abs(zeta.real), 2.0 + abs(zeta.imag)), 2.0)
+    return _band((zeta.real / (1.0 + a)) ** 2 + (zeta.imag / (1.0 - a)) ** 2, 1.0)
+
+
 def check_ellipse_vs_classify(rng, trials):
+    """spectrum.family_verdict and family_region at beta + s (w - beta), w on
+    phi(T), for gamma drawn in turn at random, as 0 and with |alpha| = |gamma|:
+    at s = 0.8 interior with winding -m sign(|gamma| - |alpha|), at s = 1.2
+    exterior with winding 0; on the segment (|alpha| = |gamma|) boundary."""
     bad = []
-    for _ in range(trials):
+    for i in range(trials):
+        kind = i % 3
         m = int(rng.integers(1, 4))
-        a = 0.85 * np.sqrt(rng.uniform())
-        alpha = a * np.exp(2j * np.pi * rng.uniform())
         beta = complex(*rng.uniform(-1, 1, 2))
-        theta = 2 * np.pi * rng.uniform()
-        tau = np.angle(alpha) if alpha != 0 else 0.0
-        edge = complex((1 + a) * np.cos(theta), (1 - a) * np.sin(theta))
-        for s, want_inside in ((0.8, True), (1.2, False)):
-            lam = beta + np.exp(0.5j * tau) * (s * edge)
-            region = spectrum.special_family_region(m, alpha, beta, lam)
-            if want_inside:
-                if region != spectrum.INTERIOR:
-                    bad.append({"case": "interior", "m": m, "s": s})
-            elif region != spectrum.EXTERIOR:
-                bad.append({"case": "exterior-region", "m": m, "s": s})
-            else:
-                v = spectrum.classify_projective(m, alpha, beta - lam, 1.0)
-                if v.region != spectrum.OMEGA1:
-                    bad.append({"case": "exterior-classify", "m": m, "got": v.region})
+        gamma = complex(rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform()))
+        ratio = 1.0 if kind else rng.choice((rng.uniform(0, 0.85), rng.uniform(1.2, 3)))
+        alpha = gamma * ratio * np.exp(2j * np.pi * rng.uniform())
+        sym = SpecialFamilySymbol(m, alpha, beta, 0j if kind == 1 else gamma)
+        w = complex(sym.eval(np.exp(2j * np.pi * rng.uniform())))
+        wind = -m if abs(sym.gamma) > abs(sym.alpha) else m
+        want = ({0.8: (spectrum.BOUNDARY, None)} if kind == 2 else
+                {0.8: (spectrum.INTERIOR, wind), 1.2: (spectrum.EXTERIOR, 0)})
+        for s, (region, wind) in want.items():
+            lam = beta + s * (w - beta)
+            got = spectrum.family_verdict(sym, lam)
+            if got != (region, wind) or family_region(sym, lam) != region:
+                bad.append({"symbol": symbols.to_json(sym), "s": s, "want": [region, wind],
+                            "got": list(got), "image": family_region(sym, lam)})
     return not bad, {"trials": trials, "mismatches": bad}
 
 

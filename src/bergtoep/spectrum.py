@@ -5,8 +5,7 @@ disk is the boundary curve phi(unit circle), and off that curve the
 Fredholm index is minus the winding number of the curve about the point.
 For the special family gamma conj(z)^m + alpha z^m + beta the symbol is
 (alpha z^{2m} + (beta-lam) z^m + gamma)/z^m on the circle, so the index is
-also m - m * (number of zeros of the t-quadratic in the unit disk); both
-routes are computed and must agree.
+also m - m * (number of zeros of the t-quadratic in the unit disk).
 
 The parameter space of the pencil gamma T_{conj(z)^m} + alpha T_{z^m} +
 beta I splits into three Fredholm regions by that zero count:
@@ -16,16 +15,17 @@ beta I splits into three Fredholm regions by that zero count:
     Omega2 (two zeros in D):  index -m,
 
 with the remaining parameters (a zero on the circle) not Fredholm.  The
-root count is authoritative; the closed-form inequalities in terms of
-|gamma|^2 - |alpha|^2 versus |alpha conj(beta) - beta conj(gamma)| are
-evaluated alongside as diagnostics, with the equal-modulus branch using
-the predicate "|beta|^4 - 4 alpha gamma conj(beta)^2 is not a nonpositive
-real number".
+zero count (classify_projective) answers every family question: the
+pencil regions, spectrum membership (family_verdict: sigma(T_phi) is the
+closure of phi(D), where the index is nonzero) and the cross-check of
+fredholm_index.  The closed forms, the image of phi (an ellipse, a disk
+or a segment) and the region inequalities in |gamma|^2 - |alpha|^2
+versus |alpha conj(beta) - beta conj(gamma)|, are independent checks in
+`oracles`.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -36,7 +36,7 @@ import numpy as np
 from . import cpoly
 from .cpoly import CPoly
 from .symbols import (HarmonicPolySymbol, SpecialFamilySymbol, Symbol,
-                      associated_poly, boundary_curve, special_to_quadratic)
+                      associated_poly, boundary_curve)
 
 
 class OnCurveError(Exception):
@@ -188,10 +188,10 @@ def curve_windings(sym: Symbol, lams, curve_tol: float):
 def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6) -> int:
     """Index of T_phi - lam as minus the winding number of phi(T) about lam.
 
-    For the special family the zero-count route m(1 - N_t), with N_t the
-    zeros of the t-quadratic in the unit disk, is computed as well, and a
-    disagreement raises RouteMismatchError; a t-zero within 1e-12 of the
-    circle leaves the count undecided and the winding answers alone.
+    For the special family the zero-count route (classify_projective on
+    the shifted pencil) answers as well, and a disagreement raises
+    RouteMismatchError; a t-zero within 1e-9 of the circle leaves the
+    count undecided and the winding answers alone.
     """
     dist, winds = curve_windings(sym, [complex(lam)], curve_tol)
     if not winds:
@@ -201,10 +201,10 @@ def fredholm_index(sym: Symbol, lam: complex = 0j, curve_tol: float = 1e-6) -> i
         raise wind
     index = -wind.winding
     if isinstance(sym, SpecialFamilySymbol):
-        count = cpoly.zero_pattern(special_to_quadratic(sym, lam), 1e-12).in_disk
-        if count is not None and sym.m * (1 - count) != index:
+        other = classify_projective(sym.m, sym.alpha, sym.beta - lam, sym.gamma).index
+        if other is not None and other != index:
             raise RouteMismatchError(f"winding route gives {index}, zero-count "
-                                     f"route gives {sym.m * (1 - count)}")
+                                     f"route gives {other}")
     return index
 
 
@@ -260,100 +260,13 @@ def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
     return verdicts
 
 
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-EXTERIOR = "exterior"
-
-
-# half-width of the boundary band of the family's closed-form images, in
-# the normalized ellipse value (special_family_region) or in modulus
-# (analytic_family_region)
-_BOUNDARY_TOL = 1e-9
-
-
-def special_family_region(m: int, alpha: complex, beta: complex, lam: complex) -> str:
-    """Position of lam relative to the closed image of conj(z)^m + alpha z^m + beta.
-
-    The image is the solid ellipse centered at beta with semi-axes
-    1 + |alpha| and |1 - |alpha|| along e^{i tau/2} where alpha =
-    |alpha| e^{i tau}; for |alpha| = 1 it degenerates to a segment.
-    """
-    alpha = complex(alpha)
-    a = abs(alpha)
-    tau = cmath.phase(alpha) if a > 0 else 0.0
-    zeta = cmath.exp(-0.5j * tau) * (complex(lam) - complex(beta))
-    if abs(a - 1.0) <= 1e-12:
-        if abs(zeta.imag) <= _BOUNDARY_TOL and abs(zeta.real) <= 2.0 + _BOUNDARY_TOL:
-            return BOUNDARY
-        return EXTERIOR
-    v = (zeta.real / (1.0 + a)) ** 2 + (zeta.imag / (1.0 - a)) ** 2
-    if v < 1.0 - _BOUNDARY_TOL:
-        return INTERIOR
-    if v > 1.0 + _BOUNDARY_TOL:
-        return EXTERIOR
-    return BOUNDARY
-
-
-def analytic_family_region(alpha: complex, beta: complex, lam: complex) -> str:
-    """Same classification for gamma = 0, image = closed disk |w - beta| <= |alpha|."""
-    r = abs(complex(lam) - complex(beta))
-    a = abs(complex(alpha))
-    if r < a - _BOUNDARY_TOL:
-        return INTERIOR
-    if r > a + _BOUNDARY_TOL:
-        return EXTERIOR
-    return BOUNDARY
-
-
 OMEGA0 = "Omega0"
 OMEGA1 = "Omega1"
 OMEGA2 = "Omega2"
 NOT_FREDHOLM = "NotFredholm"
 
-_REGION_INDEX = {OMEGA0: 1, OMEGA1: 0, OMEGA2: -1}
-
-
-@dataclass(frozen=True)
-class InequalityChecks:
-    """Closed-form predicates evaluated as diagnostics.
-
-    d0 = |gamma|^2 - |alpha|^2, cross = |alpha conj(beta) - beta conj(gamma)|,
-    q is the equal-modulus discriminant |beta|^4 - 4 alpha gamma conj(beta)^2.
-    margin is the satisfaction margin of the winning predicate (0 when no
-    strict predicate holds).
-    """
-
-    d0: float
-    cross: float
-    q: complex
-    region: Optional[str]
-    margin: float
-    agrees_with_roots: Optional[bool]
-
-
-# a t-zero within _CIRCLE_TOL of the circle makes the pencil NotFredholm;
-# |alpha| and |gamma| within _EQ_TOL take the equal-modulus predicate
+# a t-zero within _CIRCLE_TOL of the circle makes the pencil NotFredholm
 _CIRCLE_TOL = 1e-9
-_EQ_TOL = 1e-9
-
-
-def _inequality_region(alpha: complex, beta: complex, gamma: complex):
-    d0 = abs(gamma) ** 2 - abs(alpha) ** 2
-    cross = abs(alpha * beta.conjugate() - beta * gamma.conjugate())
-    q = abs(beta) ** 4 - 4 * alpha * gamma * beta.conjugate() ** 2
-    candidates: list[tuple[str, float]] = [
-        (OMEGA0, d0 - cross),
-        (OMEGA2, -d0 - cross),
-        (OMEGA1, min(abs(d0), cross - abs(d0))),
-    ]
-    if abs(abs(alpha) - abs(gamma)) <= _EQ_TOL:
-        # not a nonpositive real number, with margin
-        q_margin = max(q.real, abs(q.imag))
-        candidates.append((OMEGA1, q_margin))
-    region, margin = max(candidates, key=lambda t: t[1])
-    if margin <= 0:
-        return d0, cross, q, None, 0.0
-    return d0, cross, q, region, margin
 
 
 @dataclass(frozen=True)
@@ -361,34 +274,39 @@ class RegionVerdict:
     region: str
     index: Optional[int]
     root_moduli: tuple[float, ...]
-    inequality_checks: InequalityChecks
 
 
 def classify_projective(m: int, alpha: complex, beta: complex, gamma: complex) -> RegionVerdict:
     """Fredholm-region classification of the pencil parameters (alpha, beta, gamma).
 
     The zero count of alpha t^2 + beta t + gamma in the unit disk decides
-    the region (NotFredholm inside the _CIRCLE_TOL band); the inequality
-    predicates ride along in inequality_checks.
+    the region, NotFredholm inside the _CIRCLE_TOL band.
     """
     if m < 1:
         raise ValueError("m must be positive")
     alpha, beta, gamma = complex(alpha), complex(beta), complex(gamma)
-    d0, cross, q, ineq_region, margin = _inequality_region(alpha, beta, gamma)
-
     if alpha == 0 and beta == 0 and gamma == 0:
-        checks = InequalityChecks(d0, cross, q, ineq_region, margin, None)
-        return RegionVerdict(NOT_FREDHOLM, None, (), checks)
+        return RegionVerdict(NOT_FREDHOLM, None, ())
 
     # roots missing from a degree-deficient quadratic lie at infinity
     zp = cpoly.zero_pattern(CPoly.make([gamma, beta, alpha]), _CIRCLE_TOL)
     moduli = zp.moduli + (math.inf,) * (2 - len(zp.moduli))
-
     if zp.in_disk is None:
-        checks = InequalityChecks(d0, cross, q, ineq_region, margin, None)
-        return RegionVerdict(NOT_FREDHOLM, None, moduli, checks)
+        return RegionVerdict(NOT_FREDHOLM, None, moduli)
+    return RegionVerdict((OMEGA0, OMEGA1, OMEGA2)[zp.in_disk], m * (1 - zp.in_disk), moduli)
 
-    region = (OMEGA0, OMEGA1, OMEGA2)[zp.in_disk]
-    agrees = (ineq_region == region) if ineq_region is not None else None
-    checks = InequalityChecks(d0, cross, q, ineq_region, margin, agrees)
-    return RegionVerdict(region, m * _REGION_INDEX[region], moduli, checks)
+
+INTERIOR = "interior"
+BOUNDARY = "boundary"
+EXTERIOR = "exterior"
+
+
+def family_verdict(sym: SpecialFamilySymbol, lam: complex) -> tuple[str, Optional[int]]:
+    """lam against sigma(T_phi), the closure of phi(D), for the special
+    family, and the winding of phi(T) about lam, from classify_projective
+    on the pencil (alpha, beta - lam, gamma): boundary and None when it is
+    NotFredholm, else interior (index != 0) or exterior, and -index."""
+    index = classify_projective(sym.m, sym.alpha, sym.beta - lam, sym.gamma).index
+    if index is None:
+        return BOUNDARY, None
+    return (INTERIOR if index else EXTERIOR), -index

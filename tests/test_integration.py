@@ -13,9 +13,9 @@ adjoint (which carries the cokernel).  Region by region:
 
 import numpy as np
 
-from bergtoep import spectrum
+from bergtoep import oracles, spectrum
 from bergtoep.kernel import kernel_dimension
-from bergtoep.spectrum import classify_projective, curve_windings, special_family_region
+from bergtoep.spectrum import classify_projective, curve_windings
 from bergtoep.symbols import SpecialFamilySymbol
 
 
@@ -43,7 +43,7 @@ def test_region_winding_kernel_coherence():
             (beta + np.exp(0.5j * tau) * 0.8 * edge, spectrum.INTERIOR),
             (beta + np.exp(0.5j * tau) * (edge + 0.2 * A * nvec), spectrum.EXTERIOR),
         ):
-            region = special_family_region(m, alpha, beta, lam)
+            region = oracles.family_region(sym, lam)
             if region != want_region:
                 continue  # thin-ellipse normal offsets may re-enter; skip
             verdict = classify_projective(m, alpha, beta - lam, 1.0)

@@ -483,6 +483,15 @@ class TestAdaptiveK:
             assert {(v.status, v.route, v.terms_used) for v in rep.verdicts} == {
                 (kernel.NON_MEMBER, kernel.ON_CIRCLE, kernel.K_START)}
 
+    def test_zero_just_off_the_circle_is_undecided(self):
+        # c = 1 - 5e-13 is a member (Coburn: dim 1), but rho = 1 - 2.5e-13 is
+        # beyond every K up to the cap; only ulps from the circle count as on it
+        assert kernel.coburn_classify(1, 1, 1 - 5e-13).dim_ker == 1
+        rep = kernel_dimension((1, [0, 1 - 5e-13]))
+        assert rep.dim is None and rep.undecided
+        assert rep.reason == "below resolution: K |1 - rho| = 5e-09 < 4.5 at the cap K = 20000"
+        assert [v.route for v in rep.verdicts] == [kernel.UNRESOLVED]
+
     def test_count_below_index_looks_again_at_the_cap(self):
         # t-zeros e^0.7i/c and r e^0.7i, both outside the disk: index m.
         # The k^p prefactor is large (p from about 4 to 12), so the seeds read

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from bergtoep import cpoly, spectrum
+from bergtoep import cpoly, oracles, spectrum
+from bergtoep.oracles import family_region, inequality_region
 from bergtoep.spectrum import (OnCurveError, classify_projective, curve_distances,
-                               curve_windings, fredholm_index, membership_grid,
-                               special_family_region, winding_numbers)
+                               curve_windings, family_verdict, fredholm_index,
+                               membership_grid, winding_numbers)
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               boundary_curve, zbar_power_plus)
 
@@ -142,7 +143,7 @@ class TestSpectrumMembership:
         v = membership_grid(sym, [lam])[0]
         assert v.status == spectrum.ASSUMPTION_FAILED
         assert v.winding == 0
-        assert special_family_region(2, 0.25, 0.0, lam) == spectrum.EXTERIOR
+        assert family_verdict(SpecialFamilySymbol(2, 0.25, 0.0), lam) == (spectrum.EXTERIOR, 0)
         # for m = 1 the same configuration certifies
         sym1 = HarmonicPolySymbol(1, (), (0.0, 0.25))
         v1 = membership_grid(sym1, [3.0])[0]
@@ -151,18 +152,18 @@ class TestSpectrumMembership:
 
 class TestSpecialFamilyRegion:
     def test_interior_value(self):
-        assert special_family_region(1, 0.5, 0.0, 1.0) == spectrum.INTERIOR
+        assert family_region(SpecialFamilySymbol(1, 0.5, 0.0), 1.0) == spectrum.INTERIOR
 
     def test_exterior_point(self):
-        assert special_family_region(1, 0.5, 0.0, 2j) == spectrum.EXTERIOR
+        assert family_region(SpecialFamilySymbol(1, 0.5, 0.0), 2j) == spectrum.EXTERIOR
 
     def test_disk_case(self):
-        assert special_family_region(2, 0.0, 0.0, 0.0) == spectrum.INTERIOR
-        assert special_family_region(2, 0.0, 0.0, 1.5) == spectrum.EXTERIOR
+        assert family_region(SpecialFamilySymbol(2, 0.0, 0.0), 0.0) == spectrum.INTERIOR
+        assert family_region(SpecialFamilySymbol(2, 0.0, 0.0), 1.5) == spectrum.EXTERIOR
 
     def test_degenerate_segment(self):
-        assert special_family_region(1, 1.0, 0.0, 1.0) == spectrum.BOUNDARY
-        assert special_family_region(1, 1.0, 0.0, 1e-3j) == spectrum.EXTERIOR
+        assert family_region(SpecialFamilySymbol(1, 1.0, 0.0), 1.0) == spectrum.BOUNDARY
+        assert family_region(SpecialFamilySymbol(1, 1.0, 0.0), 1e-3j) == spectrum.EXTERIOR
 
     def test_rotation_consistency(self):
         # alpha = |alpha| e^{i tau}: region invariant under the matching rotation
@@ -175,7 +176,7 @@ class TestSpecialFamilyRegion:
             edge = complex((1 + a) * np.cos(theta), (1 - a) * np.sin(theta))
             for s, want in ((0.7, spectrum.INTERIOR), (1.3, spectrum.EXTERIOR)):
                 lam = beta + np.exp(0.5j * tau) * s * edge
-                got = special_family_region(2, a * np.exp(1j * tau), beta, lam)
+                got = family_region(SpecialFamilySymbol(2, a * np.exp(1j * tau), beta), lam)
                 assert got == want
 
 
@@ -212,23 +213,60 @@ class TestClassifyProjective:
             beta = complex(*gen.uniform(-1.5, 1.5, 2))
             gamma = complex(*gen.uniform(-1.2, 1.2, 2))
             v = classify_projective(2, alpha, beta, gamma)
-            chk = v.inequality_checks
-            if v.region == spectrum.NOT_FREDHOLM or chk.region is None:
-                continue
-            if chk.margin <= 1e-9:
+            region, margin = inequality_region(alpha, beta, gamma)
+            if v.region == spectrum.NOT_FREDHOLM or margin <= 1e-9:
                 continue
             checked += 1
-            assert chk.agrees_with_roots, (alpha, beta, gamma, v.region, chk.region)
+            assert region == v.region, (alpha, beta, gamma, v.region, region)
         assert checked > 500
 
     def test_equal_modulus_branch(self):
         # |alpha| = |gamma|, discriminant positive real: invertible
         v = classify_projective(2, 1.0, 3.0, 1.0)
         assert v.region == spectrum.OMEGA1
-        assert v.inequality_checks.region == spectrum.OMEGA1
+        assert inequality_region(1.0, 3.0, 1.0)[0] == spectrum.OMEGA1
         # |alpha| = |gamma|, discriminant nonpositive real: roots on the circle
         v = classify_projective(2, 1.0, 0.5, 1.0)
         assert v.region == spectrum.NOT_FREDHOLM
+
+
+class TestFamilyVerdict:
+    def test_ellipse(self):
+        # conj(z)^2 + 0.5 z^2: index 2 inside the ellipse, vertex 1.5 on it
+        sym = SpecialFamilySymbol(2, 0.5, 0.0)
+        assert family_verdict(sym, 0.3) == (spectrum.INTERIOR, -2)
+        assert family_verdict(sym, 2j) == (spectrum.EXTERIOR, 0)
+        assert family_verdict(sym, 1.5) == (spectrum.BOUNDARY, None)
+
+    def test_analytic_disk(self):
+        # 0.5 z^2 + 0.2: the disk |w - 0.2| <= 0.5, index -2 inside
+        sym = SpecialFamilySymbol(2, 0.5, 0.2, 0.0)
+        assert family_verdict(sym, 0.3) == (spectrum.INTERIOR, 2)
+        assert family_verdict(sym, 1.0) == (spectrum.EXTERIOR, 0)
+        assert family_verdict(sym, 0.7) == (spectrum.BOUNDARY, None)
+
+    def test_segment(self):
+        sym = SpecialFamilySymbol(1, 1.0, 0.0)
+        assert family_verdict(sym, 0.5) == (spectrum.BOUNDARY, None)
+        assert family_verdict(sym, 0.5j) == (spectrum.EXTERIOR, 0)
+
+    def test_index_cross_check_raises_on_mismatch(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "classify_projective",
+                            lambda *pencil: spectrum.RegionVerdict(spectrum.OMEGA1, 0, ()))
+        with pytest.raises(spectrum.RouteMismatchError):
+            fredholm_index(SpecialFamilySymbol(1, 0.5, 0.0), 0)
+
+    def test_ellipse_oracle_sees_a_flipped_winding(self, monkeypatch):
+        ok, _ = oracles.check_ellipse_vs_classify(np.random.default_rng(5), 30)
+        assert ok
+        right = spectrum.family_verdict
+
+        def flipped(sym, lam):
+            region, wind = right(sym, lam)
+            return region, None if wind is None else -wind
+        monkeypatch.setattr(spectrum, "family_verdict", flipped)
+        ok, detail = oracles.check_ellipse_vs_classify(np.random.default_rng(5), 30)
+        assert not ok and detail["mismatches"]
 
 
 class TestWindingZeroCountIdentity:
@@ -265,11 +303,11 @@ class TestRegionClassifyConsistency:
             theta = 2 * np.pi * gen.uniform()
             edge = complex((1 + a) * np.cos(theta), (1 - a) * np.sin(theta))
             lam_out = beta + np.exp(0.5j * tau) * 1.25 * edge
-            assert special_family_region(m, alpha, beta, lam_out) == spectrum.EXTERIOR
+            assert family_region(SpecialFamilySymbol(m, alpha, beta), lam_out) == spectrum.EXTERIOR
             v = classify_projective(m, alpha, beta - lam_out, 1.0)
             assert v.region == spectrum.OMEGA1
             lam_in = beta + np.exp(0.5j * tau) * 0.75 * edge
-            assert special_family_region(m, alpha, beta, lam_in) == spectrum.INTERIOR
+            assert family_region(SpecialFamilySymbol(m, alpha, beta), lam_in) == spectrum.INTERIOR
             v = classify_projective(m, alpha, beta - lam_in, 1.0)
             assert v.region in (spectrum.OMEGA0, spectrum.OMEGA2)
 
