@@ -192,19 +192,21 @@ def _write_gj_samples(outdir: Path, sym: SpecialFamilySymbol, config: dict) -> N
     if sym.gamma == 0:
         return
     norm = sym.normalized()
-    try:
-        basis = odekernel.OdeKernelBasis(norm.m, norm.alpha, norm.beta)
-    except (ValueError, cpoly.NumericIntegrityError):
-        return
     radii = np.linspace(0.05, 0.95, 10)
     angles = 2 * np.pi * np.arange(24) / 24
     zs = np.concatenate([r * np.exp(1j * angles) for r in radii])
+    try:
+        basis = odekernel.OdeKernelBasis(norm.m, norm.alpha, norm.beta)
+        # every g_j before the file opens: a closed form that cannot be
+        # evaluated (nearly repeated t-roots) writes no samples at all
+        gs = [[float(abs(v)) for v in basis.eval_basis(j, zs)] for j in range(1, norm.m + 1)]
+    except (ValueError, cpoly.NumericIntegrityError, odekernel.QuadratureError):
+        return
+    points = list(zip(zs.real.tolist(), zs.imag.tolist()))
     with _csv_open(outdir / "odekernel_gj_samples.csv",
                    "j,re_z,im_z,abs_gj", config) as fh:
-        for j in range(1, norm.m + 1):
-            vals = basis.eval_basis(j, zs)
-            for z, v in zip(zs, vals):
-                fh.write(f"{j},{float(z.real)!r},{float(z.imag)!r},{float(abs(v))!r}\n")
+        fh.writelines(f"{j},{x!r},{y!r},{a!r}\n"
+                      for j, g in enumerate(gs, start=1) for (x, y), a in zip(points, g))
 
 
 def cmd_kernel(parser, args) -> int:

@@ -20,8 +20,8 @@ d_{k-i} (a_i != 0) only, so the positions split into residue classes mod
 the gcd g of the shifts i and m + i (g = m + n for conj(z)^m + c z^n, and
 g = m for the family with beta != 0: its t = z^m), each a recursion of
 its own.  A unit seed lies in one class, and only that class is
-computed; every other entry is the signed zero the full recursion
-computes from zeros.
+computed and stored; every other entry is the signed zero the full
+recursion computes from zeros.
 Membership of the resulting power series in the Bergman space is decided
 from the asymptotics of the recursion: the coefficient functions
 converge, so consecutive-term ratios stabilize at a characteristic root
@@ -38,6 +38,12 @@ recursion's lookback window, its last m + n + 1 entries; the older entries
 owe the factor, and the owed factors are applied in order, with Python's
 complex-by-float rounding, when the stream is finished.  The mantissas are
 therefore the same as if every rescale had rewritten the whole history.
+A class run stores only its class, in compact lists: its window is the
+class entries among those positions, and an owed cut counts class
+entries.  The other positions, which hold the signed zero the full
+recursion computes there, are filled in when the stream is finished.
+The block ends stay positional, so every rescale falls where the full
+recursion's does.
 A product past the double range makes the stream non-finite, and
 l2_membership then answers undecided rather than read it.
 
@@ -86,7 +92,6 @@ seed verdict that is still wrong at that K.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -173,7 +178,7 @@ class CoefficientStream:
                           for k, (v, p) in enumerate(rows))
 
 
-def _log_moduli(mods: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def _log_moduli(mods: list, scales: np.ndarray) -> np.ndarray:
     """log(mod) + scale where mod is a normal double, -inf where it is zero
     or subnormal (a decaying stream stalls there at a few ulps, whose
     ratios read as rate 1).
@@ -183,8 +188,12 @@ def _log_moduli(mods: np.ndarray, scales: np.ndarray) -> np.ndarray:
     A NaN or infinite modulus (an overflowed product) stays NaN or inf, so
     it never reads as a zero entry.
     """
+    tiny = sys.float_info.min
+    if min(mods, default=tiny) >= tiny:   # every modulus normal (a NaN first reads as not)
+        return np.fromiter(map(math.log, mods), dtype=float, count=len(mods)) + scales
+    mods = np.array(mods, dtype=float)
     out = np.full(len(mods), -np.inf)
-    idx = np.flatnonzero(~(mods < sys.float_info.min))
+    idx = np.flatnonzero(~(mods < tiny))
     logs = np.fromiter(map(math.log, mods[idx].tolist()), dtype=float, count=len(idx))
     out[idx] = logs + scales[idx]
     return out
@@ -224,6 +233,45 @@ def _shift_gcd(sym: HarmonicPolySymbol) -> int:
                     *(m + i for i, a in enumerate(sym.ana) if a != 0)) or 1
 
 
+def _class_run(vals: list, mods: list, q: int, hi: int, p: int, stride: int, m: int,
+               anti: list, ana: list, hard: float) -> int:
+    """Class entries q..hi-1, at positions p, p + stride, ...; every read
+    that anti and ana name, by class offset, lands on an entry already made.
+
+    Returns the index after the last entry made: hi, or earlier when an
+    entry passed hard.
+    """
+    n = hi - q
+    # each position's -(p + 1) and k + 1 = p - m + 1
+    steps = zip(range(q, hi), range(-p - 1, -p - 1 - n * stride, -stride),
+                range(p - m + 1, p - m + 1 + n * stride, stride))
+    if not anti and len(ana) == 1:
+        # one analytic read: the general expression with its empty sums kept
+        (da, a), = ana
+        for q, u, k1 in steps:
+            v = u * (0j + (0j + a * vals[q - da]) / k1)
+            mod = abs(v)
+            vals[q] = v
+            mods[q] = mod
+            if mod > hard:
+                return q + 1
+        return hi
+    for q, u, k1 in steps:
+        s = 0j
+        for di, c, off in anti:
+            s += c * vals[q - di] / (k1 + off)
+        t = 0j
+        for da, a in ana:
+            t += a * vals[q - da]
+        v = u * (s + t / k1)
+        mod = abs(v)
+        vals[q] = v
+        mods[q] = mod
+        if mod > hard:
+            return q + 1
+    return hi
+
+
 def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
                       K: int) -> CoefficientStream:
     """Kernel recursion for a monic-q harmonic symbol from the seed d_0..d_{m-1}.
@@ -234,15 +282,19 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     d_p reads d_{p-i} for anti_i != 0 and d_{p-m-i} for a_i != 0, so with g
     the gcd of these shifts each residue class mod g recurs on its own.
     When every nonzero seed slot lies in one class r, only the positions
-    p = r (mod g) are computed.  At any other position the full recursion
-    reads zeros alone: its sums start at 0j and gain only zero terms, so
-    they stay 0j, and -(p + 1) * 0j is one signed zero for every p
-    (complex(-0.0, 0.0) on CPython 3.11).  Those entries hold that zero (the
-    seed's own zero below m) and log magnitude -inf.  The block bookkeeping
-    stays positional: a block that closes on a skipped position, after the
-    last computed entry too, rescales there, so the stream is bitwise that
-    of the full recursion.  With g = 1, a seed over several classes, or no
-    shifts at all (conj(z)^m alone) every position is computed.
+    p = r (mod g) are computed, and only they are stored: in compact lists
+    indexed by class step, where every read is a fixed offset (shift / g)
+    back.  At any other position the full recursion reads zeros alone: its
+    sums start at 0j and gain only zero terms, so they stay 0j, and
+    -(p + 1) * 0j is one signed zero for every p (complex(-0.0, 0.0) on
+    CPython 3.11), which no rescale factor changes.  The finished stream
+    holds that zero there (the seed's own zero below m) and log magnitude
+    -inf.  A zero seed slot whose imaginary part is -0.0 would change under
+    a factor, so it counts as a nonzero slot.  The block bookkeeping stays
+    positional: a block that closes on a skipped position, after the last
+    computed entry too, rescales there, so the stream is bitwise that of
+    the full recursion.  With g = 1, a seed over several classes, or no
+    shifts at all (conj(z)^m alone) the same walk runs with stride 1.
     """
     m, n = sym.m, sym.n
     if len(seed) != m:
@@ -252,71 +304,69 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     seed = [complex(v) for v in seed]
     if not all(map(cmath.isfinite, seed)):
         raise ValueError("seed must be finite")
-    anti = [(m - i, complex(c)) for i, c in enumerate(sym.anti, start=1) if c != 0]
-    ana = [(i, complex(a)) for i, a in enumerate(sym.ana) if a != 0]
     window = m + n + 1                  # the lookback the recursion reads
+    g = _shift_gcd(sym)
+    classes = {j % g for j, v in enumerate(seed) if v or math.copysign(1.0, v.imag) < 0}
+    stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
+    # the reads as class offsets back, (i / stride, c, m - i) and ((m + i) / stride, a);
+    # d_{p-i} divides by p - i + 1 = (k + 1) + (m - i)
+    anti = [(i // stride, complex(c), m - i) for i, c in enumerate(sym.anti, start=1) if c != 0]
+    ana = [((m + i) // stride, complex(a)) for i, a in enumerate(sym.ana) if a != 0]
     # entries stay below `hard` (or 1 after a rescale), so the next one is at
     # most (m + K + 1) * size * hard <= 1e300: large coefficients lower it
-    size = sum(abs(c) for _, c in anti) + sum(abs(a) for _, a in ana)
+    size = sum(abs(c) for _, c, _ in anti) + sum(abs(a) for _, a in ana)
     hard = min(_HARD_LIMIT, max(1.0, 1e300 / ((m + K + 1) * max(size, 1.0))))
-    g = _shift_gcd(sym)
-    classes = {j % g for j, v in enumerate(seed) if v} if g > 1 else ()
-    stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
-    # the full recursion's value at a skipped position, by its own expression,
-    # so it follows this interpreter's int-by-complex rounding
-    zero = -(m + 1) * (0j + 0j / 1)
-    vals = seed + [zero] * (K + 1 - m)  # positional: entries are written in place
-    mods = [0.0] * (K + 1)              # moduli at creation, for the log magnitudes
+    count = (K - r) // stride + 1       # class entries, at positions r + q * stride
+    vals = seed[r:m:stride]             # the seed's own entries come first
+    qm = len(vals)
+    mods = [abs(v) for v in vals] + [0.0] * (count - qm)   # moduli at creation
+    vals += [0j] * (count - qm)
     owed: list[tuple[int, float]] = []  # (cut, factor): entries below cut owe factor
-    scale_from = [(0, 0.0)]             # (first index, log scale in force)
-    scale, blockmax, mod = 0.0, 0.0, 0.0
-    bend = _BLOCK - 1                   # the position that closes the current block
-    # the class positions, then K + 1 to close the blocks that end after the last
-    for p in itertools.chain(range(r, K + 1, stride), (K + 1,)):
-        # each block end before p, at an entry or a skipped position, rescales
-        # when blockmax passed the limit; an entry past `hard` closes its block
-        while bend < p:
-            if mod > hard or blockmax > _BLOCK_LIMIT:
-                # divide by blockmax: the window now, older entries when finished
-                end = bend + 1
-                shift = math.log(blockmax)
-                f = math.exp(-shift)
-                cut = max(end - window, 0)
-                vals[cut:end] = [x * f for x in vals[cut:end]]
-                if cut:
-                    owed.append((cut, f))
-                scale += shift
-                scale_from.append((end, scale))
-                blockmax = 1.0
-                mod = 0.0
-            bend += _BLOCK
-        if p > K:
+    scale_from = [(0, 0.0)]             # (first entry, log scale in force)
+    scale, blockmax, closed = 0.0, 0.0, False
+    q, bend = 0, _BLOCK - 1             # the next entry; the position closing its block
+    while True:
+        # the entries up to the block end; one past `hard` closes the block there
+        q0, q1 = q, (min(bend, K) - r) // stride + 1
+        while q < q1 and not closed:
+            if q < qm:
+                hi = min(q1, qm)
+                q = next((j + 1 for j in range(q, hi) if mods[j] > hard), hi)
+            else:
+                # an analytic read joins once it lands on an entry (d_j = 0 for j < 0)
+                hi = min([q1] + [da for da, _ in ana if da > q])
+                live = [(da, a) for da, a in ana if da <= q]
+                q = _class_run(vals, mods, q, hi, r + q * stride, stride, m, anti, live, hard)
+            closed = mods[q - 1] > hard
+        if closed:
+            bend = r + (q - 1) * stride
+        blockmax = max([blockmax] + mods[q0:q])   # blockmax first: a NaN never wins
+        if bend > K:
             break
-        if p < m:
-            v = seed[p]
-        else:
-            k = p - m
-            s = 0j
-            for off, c in anti:
-                s += c * vals[off + k] / (off + k + 1)
-            t = 0j
-            for i, a in ana:
-                if i <= k:
-                    t += a * vals[k - i]
-            v = -(p + 1) * (s + t / (k + 1))
-        mod = abs(v)
-        vals[p] = v
-        mods[p] = mod
-        if mod > blockmax:
-            blockmax = mod
-        if mod > hard:
-            bend = p
+        if closed or blockmax > _BLOCK_LIMIT:
+            # divide by blockmax: the window now, older entries when finished
+            shift = math.log(blockmax)
+            f = math.exp(-shift)
+            cut = max(0, (bend + 1 - window - r + stride - 1) // stride)
+            vals[cut:q] = [x * f for x in vals[cut:q]]
+            if cut:
+                owed.append((cut, f))
+            scale += shift
+            scale_from.append((q, scale))
+            blockmax, closed = 1.0, False
+        bend += _BLOCK
     mant = np.array(vals, dtype=complex)
     _apply_owed(mant, owed)
     starts, scales = zip(*scale_from)
-    counts = np.diff(starts + (len(mant),))
-    logmag = _log_moduli(np.array(mods, dtype=float), np.repeat(scales, counts))
-    return CoefficientStream(mant, logmag, scale, m)
+    logs = _log_moduli(mods, np.repeat(scales, np.diff(starts + (count,))))
+    # every other position holds the full recursion's value there, by its own
+    # expression, so it follows this interpreter's int-by-complex rounding
+    full = np.full(K + 1, -(m + 1) * (0j + 0j / 1))
+    full[:m] = seed
+    full[r::stride] = mant
+    logmag = np.full(K + 1, -np.inf)
+    logmag[r::stride] = logs
+    return CoefficientStream(full, logmag, scale, m)
 
 
 def closed_form_kernel_czn(m: int, n: int, c: complex, j: int, K: int) -> CoefficientStream:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergtoep import cli, cpoly, finsect, kernel, oracles, spectrum
+from bergtoep import cli, cpoly, finsect, kernel, odekernel, oracles, spectrum
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               to_json, zbar_power_plus)
 
@@ -78,6 +78,19 @@ class TestKernelCommand:
         assert (result["dim"], result["dim_route"], result["bounds"]) == (
             1, kernel.ADJOINT_BOUNDS, [1, 1])
         assert not list(tmp_path.glob("kernel_basis_seed*.csv"))
+
+    def test_gj_samples_skipped_when_quadrature_fails(self, capsys, tmp_path, monkeypatch):
+        # t-roots 2 and 2 (1 + 1e-7): the dimension is decided, but g_2's
+        # radial integrals cannot reach their tolerance.  A lower panel cap
+        # makes the quadrature fail the same way, sooner.
+        monkeypatch.setattr(odekernel, "_MAX_PANELS", 16)
+        rc = run(["kernel", "--family", "m=2,alpha=0.24999997500000248,beta=-0.9999999500000051",
+                  "--out", str(tmp_path)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("kernel dim: 2\n") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "kernel_basis_seed0.csv", "kernel_basis_seed1.csv", "kernel_summary.json"]
 
     @pytest.mark.parametrize("c", ["1e160", "1e200"])
     def test_large_coefficient_decides(self, capsys, c):

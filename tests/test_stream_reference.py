@@ -156,6 +156,14 @@ def _corpus():
         (zbar_power_plus(4, [2 * w, 0, 3.0]), [0, 1, 0, 0], K),
         # a seed over two classes of g = 4 runs every position
         (zbar_power_plus(2, [0, 0, 3 * w]), [1.0, 0.5], K),
+        # g = 5 over eight blocks, the class's last position 4096 below K
+        (zbar_power_plus(3, [0, 0, (1 - 1e-6) * w]), [0, 1.0, 0], 4097),
+        # the family's t = z^3 with beta != 0: g = 3, the seed in class 2,
+        # t-zeros inside the disk, so the stream grows and rescales
+        (SpecialFamilySymbol(3, 1.0, 0.3 * w, 0.02).as_harmonic(), [0, 0, 1.0], K),
+        # g = 1, growth of 1e45 per term: the first hard-limit close, at
+        # p = 7, comes while the a_10 read still falls before d_0
+        (HarmonicPolySymbol(2, (1e45 * w,), (1e45,) + (0,) * 9 + (2.0,)), [1.0, 0], 600),
     ]
     cases += [("split", lambda s=sym, d=seed, k=k: kernel.recursion_general(s, d, k),
                lambda s=sym, d=seed, k=k: ref_general(s, d, k)) for sym, seed, k in split]
