@@ -1,21 +1,8 @@
 """Complex polynomial arithmetic and zero localization at the unit circle.
 
-Polynomials are stored densely by ascending power.  Zero counting inside
-the open unit disk uses the Schur-Cohn determinant test: for
-
-    p(z) = a_n z^n + ... + a_1 z + a_0
-
-build, for k = 1..n, the upper triangular k x k matrices
-
-    A_k[i, j] = a_{j-i}            (first row a_0, a_1, ..., a_{k-1}),
-    B_k[i, j] = conj(a_{n-j+i})    (first row conj(a_n), ..., conj(a_{n-k+1})),
-
-and the determinants M_k = det(B_k* B_k - A_k* A_k), which are real because
-the matrix is Hermitian.  When every M_k is nonzero the number of zeros of
-p inside the unit disk equals n - N(1, M_1, ..., M_n), where N counts sign
-changes after dropping zero entries.  Near-vanishing M_k means zeros close
-to the circle; the count is then reported as indeterminate rather than
-guessed.
+Polynomials are stored densely by ascending power.  zero_pattern counts
+the zeros in the unit disk from the roots; the Schur-Cohn determinant
+count, which needs no roots, is a check in `bergtoep.oracles`.
 
 The root finder is an Ehrlich-Aberth simultaneous iteration with a
 companion-matrix fallback, returning roots sorted by (modulus, argument).
@@ -77,9 +64,6 @@ class CPoly:
         for a in reversed(self.coeffs):
             acc = acc * z + a
         return acc
-
-    def scale(self) -> float:
-        return max(abs(c) for c in self.coeffs)
 
 
 def eval_poly_many(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
@@ -326,11 +310,6 @@ class ZeroPattern(NamedTuple):
             return len(self.moduli) <= 1
         return all(b - a > rel_tol * top for a, b in zip(self.moduli, self.moduli[1:]))
 
-    @property
-    def circle_distance(self) -> float:
-        """min |modulus - 1| over the zeros, the margin of the circle test; inf without zeros."""
-        return min((abs(mu - 1.0) for mu in self.moduli), default=math.inf)
-
 
 def _located(rs: tuple[complex, ...], circle_tol: float) -> ZeroPattern:
     mods = tuple(sorted(map(abs, rs)))
@@ -356,74 +335,3 @@ def zero_pattern(p: CPoly, circle_tol: float) -> ZeroPattern:
     A nonzero constant has no zeros; the zero polynomial raises ValueError.
     """
     return zero_patterns([p], circle_tol)[0]
-
-
-def sign_variations(seq: Sequence[float]) -> int:
-    """Sign changes in a real sequence, ignoring zero entries."""
-    signs = [1 if x > 0 else -1 for x in seq if x != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-@dataclass(frozen=True)
-class SchurCohnReport:
-    """Determinants M_1..M_n, the sign-variation count, and the zero count.
-
-    in_disk_count is None when some |M_k| fell below the degeneracy
-    tolerance (zeros too close to the circle for the test to resolve).
-    """
-
-    dets: tuple[float, ...]
-    variations: int
-    in_disk_count: Optional[int]
-
-    @property
-    def is_indeterminate(self) -> bool:
-        return self.in_disk_count is None
-
-
-# |M_k| / scale^(2k) at or below which schur_cohn's count is indeterminate
-_DEGENERACY_TOL = 1e-10
-
-
-def schur_cohn(p: CPoly) -> SchurCohnReport:
-    """Count zeros of p inside the unit disk by the determinant test.
-
-    The reported M_k come from the raw coefficients; the degeneracy test
-    divides M_k by scale^(2k) with scale = max|a_j|, so _DEGENERACY_TOL is
-    an absolute threshold on coefficient-normalized polynomials and the
-    verdict is invariant under scaling p by a nonzero constant.
-    """
-    n = p.degree
-    if n < 1:
-        raise ValueError("schur_cohn requires degree >= 1")
-    if p.coeffs[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    a = np.array(p.coeffs, dtype=complex)
-    scale = float(np.max(np.abs(a)))
-
-    dets: list[float] = []
-    for k in range(1, n + 1):
-        A = np.zeros((k, k), dtype=complex)
-        B = np.zeros((k, k), dtype=complex)
-        for i in range(k):
-            A[i, i:] = a[: k - i]
-            B[i, i:] = np.conj(a[n::-1][: k - i])
-        H = B.conj().T @ B - A.conj().T @ A
-        hmax = float(np.max(np.abs(H))) if H.size else 0.0
-        asym = float(np.max(np.abs(H - H.conj().T)))
-        if asym > 1e-9 * hmax + 1e-12 * scale**2:
-            raise NumericIntegrityError(f"M_{k} matrix not Hermitian: asymmetry {asym:.3e}")
-        H = (H + H.conj().T) / 2
-        det = complex(np.linalg.det(H))
-        if abs(det.imag) > 1e-9 * abs(det) + 1e-12 * scale ** (2 * k):
-            raise NumericIntegrityError(f"M_{k} determinant not real: {det!r}")
-        dets.append(det.real)
-
-    variations = sign_variations([1.0] + dets)
-    if any(abs(m) / scale ** (2 * k) <= _DEGENERACY_TOL
-           for k, m in enumerate(dets, start=1)):
-        return SchurCohnReport(tuple(dets), variations, None)
-    count = n - variations
-    if not 0 <= count <= n:
-        raise NumericIntegrityError(f"zero count {count} outside [0, {n}]")
-    return SchurCohnReport(tuple(dets), variations, count)

@@ -1,4 +1,4 @@
-"""Exact coefficient action of T_phi and finite truncation matrices.
+"""Finite truncation matrices of T_phi and their smallest singular values.
 
 On the Bergman space the monomials satisfy ||z^k||^2 = 1/(k+1), and the
 projection of conj(z)^s z^k is ((k-s+1)/(k+1)) z^{k-s} for k >= s and 0
@@ -7,9 +7,8 @@ analytic terms a_i z^i this gives the exact coefficient map
 
     c_k = sum_s w_s ((k+1)/(s+k+1)) d_{s+k} + sum_i a_i d_{k-i},
 
-which apply_symbol implements on truncated coefficient lists (indices
-beyond the truncation contribute zero, so only outputs up to
-K - max_shift are exact).
+which `oracles.apply_symbol` applies to coefficient lists, the route that
+checks these truncations.
 
 Truncations are assembled in the orthonormal basis e_k = sqrt(k+1) z^k:
 the conj(z)^s band has entries sqrt(k-s+1)/sqrt(k+1) at (k-s, k) and the
@@ -18,31 +17,21 @@ truncations are heuristic evidence only; finite sections of non-normal
 Toeplitz operators may have spurious near-kernels.
 
 sigma_min(T - lam) over a grid of lam (min_singular_values) is certified
-without a dense SVD where it can be: T splits exactly into residue classes
-mod g, the gcd of its nonzero diagonal offsets (g = m for the special
-family, usually 1 for other symbols), and in each class bisection on s
-tests M - s^2 I for positive definiteness, M = (T - lam)^H (T - lam), by a
-banded LDL^H factorization run lane-wise over a block of lam.  Rounding in
-forming M and in the factorization moves lambda_min(M) by at most
-C_w eps nu^2 (nu >= ||T - lam||_2, C_w from the band width, see _c_w), so
-each test decides sigma_min against s to relative DELTA = 1e-9 once
-s >= nu sqrt(C_w eps / DELTA), which is 2e-3 to 5e-3 nu for band widths
-w = 0..4; the reported value is within 2 DELTA of sigma_min.  Squaring
-into M is what sets that threshold.  Below it, one step of inverse
-iteration with a lane-wise banded LU of T - lam finds a vector v with
-||(T - lam) v|| <= t ||v||, t counting every rounding (see _inverse_step);
-where t <= N eps nu it is reported as a proven upper bound.  Below N eps nu
-no method here resolves sigma_min: the dense SVD returns rounding noise
-there, and the probe command marks such points as unresolved.  The
-remaining points (between N eps nu and the threshold), and non-finite or
-extreme data, fall back to the dense min_singular_value, bit for bit.
+without a dense SVD where it can be, by banded bisection on each residue
+class of T (see min_singular_values).  Forming M = (T - lam)^H (T - lam)
+squares the conditioning, which sets the threshold of that certificate at
+2e-3 to 5e-3 nu; below it one inverse-iteration step can prove an upper
+bound (_bound), and below N eps nu no method here resolves sigma_min: the
+dense SVD returns rounding noise there, and probe marks such points
+unresolved.  Everything else falls back to the dense min_singular_value,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -62,66 +51,6 @@ def _terms(sym: Symbol):
     return anti, ana
 
 
-def apply_symbol(sym: Symbol, d: Sequence[complex]) -> np.ndarray:
-    """Coefficient action of T_phi on d_0..d_K, truncated at K."""
-    d = np.asarray(list(d), dtype=complex)
-    K1 = len(d)
-    out = np.zeros(K1, dtype=complex)
-    anti, ana = _terms(sym)
-    k = np.arange(K1, dtype=float)
-    for s, w in anti:
-        if s < K1:
-            out[: K1 - s] += w * ((k[: K1 - s] + 1.0) / (k[: K1 - s] + s + 1.0)) * d[s:]
-    for s, w in ana:
-        if s < K1:
-            out[s:] += w * d[: K1 - s]
-    return out
-
-
-def tstar_zm_check(m: int, g_coeffs: Sequence[complex]) -> float:
-    """Max pairwise discrepancy between three routes to T_{z^m}^* g.
-
-    Requires g to vanish to order m at 0.  The routes are the direct
-    projection rule, the integral z^{-(m+1)} int_0^z [w g' - (m-1) g] dw,
-    and g/z^m - m z^{-(m+1)} int_0^z g, all evaluated coefficientwise.
-    """
-    d = np.asarray(list(g_coeffs), dtype=complex)
-    if m < 1:
-        raise ValueError("m must be positive")
-    if len(d) <= m:
-        raise ValueError("need coefficients beyond index m")
-    if np.any(d[:m] != 0):
-        raise ValueError("g must have an m-fold zero at the origin")
-    K1 = len(d)
-    j = np.arange(K1, dtype=float)
-
-    # route 1: projection rule, c_k = ((k+1)/(m+k+1)) d_{m+k}
-    k = np.arange(K1 - m, dtype=float)
-    r1 = ((k + 1.0) / (m + k + 1.0)) * d[m:]
-
-    # route 2: [w g' - (m-1) g], integrate, shift down by m+1
-    wgp = j * d
-    top = wgp - (m - 1) * d
-    integ = top / (j + 1.0)          # coefficient of z^{j+1}
-    r2 = integ[m:]                   # z^{j+1} / z^{m+1} = z^{j-m}
-
-    # route 3: g/z^m - (m/z^{m+1}) int_0^z g
-    gshift = d[m:]
-    anti = d / (j + 1.0)             # int g, coefficient of z^{j+1}
-    r3 = gshift - m * anti[m:]
-
-    return float(max(np.max(np.abs(r1 - r2)), np.max(np.abs(r1 - r3)),
-                     np.max(np.abs(r2 - r3))))
-
-
-@dataclass(frozen=True)
-class ToeplitzTruncation:
-    """n x n section of T_phi in the orthonormal basis e_k = sqrt(k+1) z^k."""
-
-    n: int
-    entries: np.ndarray
-
-
 def bandwidth(sym: Symbol) -> int:
     """Largest anti-analytic shift plus largest analytic shift of the symbol."""
     anti, ana = _terms(sym)
@@ -133,8 +62,8 @@ def min_dimension(sym: Symbol) -> int:
     return max(2 * bandwidth(sym), 2)
 
 
-def truncation(sym: Symbol, n: int) -> ToeplitzTruncation:
-    """Banded n x n truncation; needs n at least twice the bandwidth."""
+def truncation(sym: Symbol, n: int) -> np.ndarray:
+    """Banded n x n section of T_phi in the basis e_k; n >= twice the bandwidth."""
     anti, ana = _terms(sym)
     if n < min_dimension(sym):
         raise ValueError(f"dimension {n} too small for bandwidth {bandwidth(sym)}")
@@ -152,12 +81,12 @@ def truncation(sym: Symbol, n: int) -> ToeplitzTruncation:
             continue
         rows = np.arange(n - s)
         E[rows + s, rows] += w * np.sqrt((k[: n - s] + 1.0) / (k[s:] + 1.0))
-    return ToeplitzTruncation(n, E)
+    return E
 
 
-def min_singular_value(T: Union[ToeplitzTruncation, np.ndarray], lam: complex = 0j) -> float:
+def min_singular_value(T: np.ndarray, lam: complex = 0j) -> float:
     """Smallest singular value of T - lam*I (dense SVD); NaN if it is not finite."""
-    E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
+    E = np.asarray(T, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
         A = E - complex(lam) * np.eye(E.shape[0])
     if not np.isfinite(A).all():
@@ -416,8 +345,7 @@ def _blocks(count: int, per_item: int) -> list:
     return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def min_singular_values(T: Union[ToeplitzTruncation, np.ndarray],
-                        lams: Sequence[complex]) -> SigmaGrid:
+def min_singular_values(T: np.ndarray, lams: Sequence[complex]) -> SigmaGrid:
     """sigma_min(T - lam) for every lam, certified by banded bisection.
 
     T is split exactly into its residue classes mod g, the gcd of its
@@ -437,7 +365,7 @@ def min_singular_values(T: Union[ToeplitzTruncation, np.ndarray],
     by the dense `min_singular_value` instead; a lam for which T - lam is
     not finite gets NaN there, without an SVD.
     """
-    E = T.entries if isinstance(T, ToeplitzTruncation) else np.asarray(T, dtype=complex)
+    E = np.asarray(T, dtype=complex)
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     sigma = np.empty(lams.size)
     certified = np.zeros(lams.size, dtype=bool)

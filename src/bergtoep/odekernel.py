@@ -28,6 +28,8 @@ near the origin.  The quadrature runs lane-wise: every nonzero point is a
 lane with its own panel list, error test and panel budget, and each round
 evaluates the 15 Kronrod nodes of the new panels of all unconverged lanes
 in one array, so a point's integral is bitwise the one it would get alone.
+The checks on the basis (Taylor coefficients, residual, span) are in
+`bergtoep.oracles`.
 """
 
 from __future__ import annotations
@@ -37,16 +39,11 @@ import math
 
 import numpy as np
 
-from . import cpoly, finsect
-from .symbols import SpecialFamilySymbol
+from . import cpoly
 
 
 class QuadratureError(Exception):
     """Adaptive quadrature failed to meet its tolerance."""
-
-
-class ExtractionError(Exception):
-    """Coefficient extraction would amplify noise beyond usefulness."""
 
 
 # 15-point Kronrod nodes/weights on [-1, 1] with the embedded 7-point Gauss rule
@@ -77,8 +74,6 @@ _LANE_BLOCK = 4096
 _MAX_PANELS = 512
 # error tolerance of each radial integral of eval_basis
 _QUAD_TOL = 1e-12
-# taylor_coefficients samples g_j on the circle |z| = _RADIUS
-_RADIUS = 0.9
 
 
 def _gk_panels(f, lanes: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -99,35 +94,52 @@ def _adaptive_gk_lanes(f, n: int, a: float, b: float, tol: float,
                        max_panels: int) -> np.ndarray:
     """Adaptive Gauss-Kronrod integrals of n lanes on [a, b], in rounds.
 
-    Each lane keeps its own panel list and, while its summed error is
-    above tol, splits its first worst panel; every round evaluates the new
-    panels of all unconverged lanes in one f call.  A lane does exactly
-    the floating-point operations it would do alone.
+    Each lane keeps its own panel list and, while the left-to-right sum of
+    its panel errors (Python's sum() before 3.12) is above tol, splits its
+    first worst panel into halves at the end of the list; every round
+    evaluates the new panels of all unconverged lanes in one f call.  A
+    lane does exactly the floating-point operations it would do alone.
+    The lists are array rows, a split panel's error and value zeroed:
+    adding +0.0 to a sum that is not -0.0 is exact, so sequential row sums
+    (ufunc accumulate does not sum pairwise) are the list sums.
     """
     val, err = _gk_panels(f, np.arange(n), np.full(n, float(a)), np.full(n, float(b)))
-    panels = [[(a, b, val[i], err[i])] for i in range(n)]
     out = np.empty(n, dtype=complex)
-    active = list(range(n))
+    lane = np.arange(n)                       # the lane of each row
+    ends = np.zeros((n, 8, 2))                # each row's panels in list order
+    vals = np.zeros((n, 8), dtype=complex)
+    errs = np.zeros((n, 8))                   # errs and vals 0 once split
+    live = np.zeros((n, 8), dtype=bool)
+    ends[:, 0], vals[:, 0], errs[:, 0], live[:, 0] = (a, b), val, err, True
+    w = 1
     for _ in range(max_panels):
-        lanes, lo, hi = [], [], []
-        for i in active:
-            ps = panels[i]
-            if sum(p[3] for p in ps) <= tol:
-                out[i] = sum(p[2] for p in ps)
-                continue
-            worst = max(range(len(ps)), key=lambda k: ps[k][3])
-            a0, b0, _, _ = ps.pop(worst)
-            mid = 0.5 * (a0 + b0)
-            lanes += (i, i)
-            lo += (a0, mid)
-            hi += (mid, b0)
-        active = lanes[::2]
-        if not active:
+        with np.errstate(over="ignore"):
+            s = np.add.accumulate(errs[:, :w], axis=1)[:, -1]
+        done = s <= tol
+        if done.any():
+            # sum() in list order from 0; split values are +0j, and a sum
+            # from 0 is never -0.0, so adding them is exact
+            out[lane[done]] = 0j + np.add.accumulate(vals[done, :w], axis=1)[:, -1]
+            lane, ends, vals, errs, live, s = (x[~done] for x in (lane, ends, vals, errs, live, s))
+        if not lane.size:
             return out
-        val, err = _gk_panels(f, np.array(lanes), np.array(lo), np.array(hi))
-        for r, i in enumerate(lanes):
-            panels[i].append((lo[r], hi[r], val[r], err[r]))
-    if active:
+        worst = np.where(live[:, :w], errs[:, :w], -math.inf).argmax(axis=1)
+        for r in np.flatnonzero(np.isnan(s)):   # argmax would take the first NaN
+            worst[r] = max(np.flatnonzero(live[r, :w]), key=lambda j, r=r: errs[r, j])
+        rows = np.arange(lane.size)
+        a0, b0 = ends[rows, worst].T
+        mid = 0.5 * (a0 + b0)
+        errs[rows, worst], vals[rows, worst], live[rows, worst] = 0.0, 0.0, False
+        if w + 2 > errs.shape[1]:
+            ends, vals, errs, live = (np.concatenate([x, np.zeros_like(x)], axis=1)
+                                      for x in (ends, vals, errs, live))
+        ends[:, w], ends[:, w + 1] = np.column_stack([a0, mid]), np.column_stack([mid, b0])
+        val, err = _gk_panels(f, np.repeat(lane, 2), ends[:, w:w + 2, 0].ravel(),
+                              ends[:, w:w + 2, 1].ravel())
+        vals[:, w:w + 2], errs[:, w:w + 2] = val.reshape(-1, 2), err.reshape(-1, 2)
+        live[:, w:w + 2] = True
+        w += 2
+    if lane.size:
         raise QuadratureError(f"did not reach tol {tol:.1e} within {max_panels} panels")
     return out
 
@@ -204,10 +216,6 @@ class OdeKernelBasis:
         # H(0) = (-t0)^{-e1} (-t1)^{e2} with principal anchors
         self._h0 = cmath.exp(-self.e1 * cmath.log(-t0) + self.e2 * cmath.log(-t1))
 
-    @property
-    def exponents(self) -> tuple[complex, complex]:
-        return (self.e1, self.e2)
-
     # -- branch-consistent building blocks -------------------------------
 
     def _v(self, zm: np.ndarray) -> np.ndarray:
@@ -229,7 +237,8 @@ class OdeKernelBasis:
         V and H - H(0)); this is the ODE oracle: `TestG0` checks its
         closed form and its logarithmic derivative m / (z (alpha z^{2m} +
         beta z^m + 1)), which pins the roots, exponents and branch anchors
-        that every basis function shares.
+        that every basis function shares.  It stays on the class, not in
+        `oracles`, because it reads the basis's private branch data.
         """
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(z) >= 1.0):
@@ -283,44 +292,3 @@ class OdeKernelBasis:
                        * (zm[idx] - self.z0m) * (zm[idx] - self.z1m)))
             out[idx] = -(head + g1v[idx] * q[idx])
         return complex(out[0]) if scalar else out
-
-    def symbol(self) -> SpecialFamilySymbol:
-        return SpecialFamilySymbol(self.m, self.alpha, self.beta, 1.0 + 0j)
-
-
-def taylor_coefficients(basis: OdeKernelBasis, j: int, K: int) -> np.ndarray:
-    """First K Taylor coefficients of g_j by FFT at 4K points of the circle
-    |z| = _RADIUS.
-
-    The k-th coefficient is amplified by _RADIUS^-k, so eval noise of size
-    _QUAD_TOL reaches _QUAD_TOL * _RADIUS^-(K-1) at the top; the call
-    refuses K where that exceeds 1e-4 (K >= 176).
-    """
-    samples = 4 * K
-    amp = _RADIUS ** (-(K - 1))
-    if _QUAD_TOL * amp > 1e-4:
-        raise ExtractionError(
-            f"amplification {amp:.3e} at k={K - 1} with eval tol {_QUAD_TOL:.1e}")
-    zs = _RADIUS * np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = basis.eval_basis(j, zs)
-    hat = np.fft.fft(vals) / samples
-    k = np.arange(K)
-    return hat[:K] / _RADIUS**k
-
-
-def residual_check(basis: OdeKernelBasis, j: int, K: int = 50) -> float:
-    """Relative Bergman-norm residual of T_phi g_j on the first K-2m coefficients.
-
-    g_j is sampled on a circle, its Taylor coefficients extracted, and the
-    exact coefficient operator applied; only indices unaffected by the
-    truncation are scored.
-    """
-    coeffs = taylor_coefficients(basis, j, K)
-    out = finsect.apply_symbol(basis.symbol(), coeffs)
-    cut = K - 2 * basis.m
-    if cut < 1:
-        raise ValueError("K too small relative to m")
-    w = 1.0 / (np.arange(K) + 1.0)
-    num = math.sqrt(float(np.sum(np.abs(out[:cut]) ** 2 * w[:cut])))
-    den = math.sqrt(float(np.sum(np.abs(coeffs) ** 2 * w)))
-    return num / den

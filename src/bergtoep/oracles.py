@@ -1,4 +1,12 @@
-"""Cross-module oracles, shared by `bergtoep validate` and the acceptance suite.
+"""The checks: every second route to a result of the answer modules, shared
+by `bergtoep validate` and the acceptance suite.
+
+Schur-Cohn counts the zeros of p(z) = a_n z^n + ... + a_0 in the unit disk
+without roots: with the upper triangular k x k matrices A_k[i, j] = a_{j-i}
+and B_k[i, j] = conj(a_{n-j+i}), the determinants M_k = det(B_k* B_k -
+A_k* A_k) are real, and when none vanishes the count is n - N(1, M_1, ...,
+M_n), N the sign changes after dropping zeros; near-vanishing M_k (zeros
+close to the circle) leave it indeterminate.
 
 Each check(rng, trials) returns (ok, detail) with a JSON-ready detail.
 ORACLES lists (name, check, trials) in the order validate runs them on one
@@ -9,11 +17,257 @@ checks (coburn-table, odekernel-span) ignore.
 from __future__ import annotations
 
 import cmath
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import cpoly, finsect, kernel, odekernel, spectrum, symbols
+from .cpoly import CPoly, NumericIntegrityError
 from .symbols import HarmonicPolySymbol, SpecialFamilySymbol
+
+
+def sign_variations(seq: Sequence[float]) -> int:
+    """Sign changes in a real sequence, ignoring zero entries."""
+    signs = [1 if x > 0 else -1 for x in seq if x != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@dataclass(frozen=True)
+class SchurCohnReport:
+    """Determinants M_1..M_n, the sign-variation count, and the zero count.
+
+    in_disk_count is None when some |M_k| fell below the degeneracy
+    tolerance (zeros too close to the circle for the test to resolve).
+    """
+
+    dets: tuple[float, ...]
+    variations: int
+    in_disk_count: Optional[int]
+
+    @property
+    def is_indeterminate(self) -> bool:
+        return self.in_disk_count is None
+
+
+# |M_k| / scale^(2k) at or below which schur_cohn's count is indeterminate
+_DEGENERACY_TOL = 1e-10
+
+
+def schur_cohn(p: CPoly) -> SchurCohnReport:
+    """Count zeros of p inside the unit disk by the determinant test.
+
+    The reported M_k come from the raw coefficients; the degeneracy test
+    divides M_k by scale^(2k) with scale = max|a_j|, so _DEGENERACY_TOL is
+    an absolute threshold on coefficient-normalized polynomials and the
+    verdict is invariant under scaling p by a nonzero constant.
+    """
+    n = p.degree
+    if n < 1:
+        raise ValueError("schur_cohn requires degree >= 1")
+    if p.coeffs[-1] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    a = np.array(p.coeffs, dtype=complex)
+    scale = float(np.max(np.abs(a)))
+
+    dets: list[float] = []
+    for k in range(1, n + 1):
+        A = np.zeros((k, k), dtype=complex)
+        B = np.zeros((k, k), dtype=complex)
+        for i in range(k):
+            A[i, i:] = a[: k - i]
+            B[i, i:] = np.conj(a[n::-1][: k - i])
+        H = B.conj().T @ B - A.conj().T @ A
+        hmax = float(np.max(np.abs(H))) if H.size else 0.0
+        asym = float(np.max(np.abs(H - H.conj().T)))
+        if asym > 1e-9 * hmax + 1e-12 * scale**2:
+            raise NumericIntegrityError(f"M_{k} matrix not Hermitian: asymmetry {asym:.3e}")
+        H = (H + H.conj().T) / 2
+        det = complex(np.linalg.det(H))
+        if abs(det.imag) > 1e-9 * abs(det) + 1e-12 * scale ** (2 * k):
+            raise NumericIntegrityError(f"M_{k} determinant not real: {det!r}")
+        dets.append(det.real)
+
+    variations = sign_variations([1.0] + dets)
+    if any(abs(m) / scale ** (2 * k) <= _DEGENERACY_TOL
+           for k, m in enumerate(dets, start=1)):
+        return SchurCohnReport(tuple(dets), variations, None)
+    count = n - variations
+    if not 0 <= count <= n:
+        raise NumericIntegrityError(f"zero count {count} outside [0, {n}]")
+    return SchurCohnReport(tuple(dets), variations, count)
+
+
+def circle_distance(zp: cpoly.ZeroPattern) -> float:
+    """min |modulus - 1| over the zeros of zp, the margin of its circle
+    test; inf without zeros."""
+    return min((abs(mu - 1.0) for mu in zp.moduli), default=math.inf)
+
+
+def special_to_quadratic(sym: SpecialFamilySymbol, lam: complex = 0j) -> CPoly:
+    """The polynomial alpha t^2 + (beta - lam) t + gamma in t = z^m.
+
+    Its zeros, taken to m-th roots, are exactly the zeros of
+    z^m (phi(z) - lam); degree-deficient cases are trimmed (roots at
+    infinity are dropped, a zero constant term keeps the root t = 0).
+    """
+    p = CPoly.make([sym.gamma, sym.beta - lam, sym.alpha])
+    if p.is_zero:
+        raise ValueError("phi - lam vanishes identically on the circle")
+    return p
+
+
+def apply_symbol(sym: symbols.Symbol, d: Sequence[complex]) -> np.ndarray:
+    """Coefficient action of T_phi on d_0..d_K, truncated at K."""
+    d = np.asarray(list(d), dtype=complex)
+    K1 = len(d)
+    out = np.zeros(K1, dtype=complex)
+    anti, ana = finsect._terms(sym)
+    k = np.arange(K1, dtype=float)
+    for s, w in anti:
+        if s < K1:
+            out[: K1 - s] += w * ((k[: K1 - s] + 1.0) / (k[: K1 - s] + s + 1.0)) * d[s:]
+    for s, w in ana:
+        if s < K1:
+            out[s:] += w * d[: K1 - s]
+    return out
+
+
+def tstar_zm_check(m: int, g_coeffs: Sequence[complex]) -> float:
+    """Max pairwise discrepancy between three routes to T_{z^m}^* g.
+
+    Requires g to vanish to order m at 0.  The routes are the direct
+    projection rule, the integral z^{-(m+1)} int_0^z [w g' - (m-1) g] dw,
+    and g/z^m - m z^{-(m+1)} int_0^z g, all evaluated coefficientwise.
+    """
+    d = np.asarray(list(g_coeffs), dtype=complex)
+    if m < 1:
+        raise ValueError("m must be positive")
+    if len(d) <= m:
+        raise ValueError("need coefficients beyond index m")
+    if np.any(d[:m] != 0):
+        raise ValueError("g must have an m-fold zero at the origin")
+    K1 = len(d)
+    j = np.arange(K1, dtype=float)
+
+    # route 1: projection rule, c_k = ((k+1)/(m+k+1)) d_{m+k}
+    k = np.arange(K1 - m, dtype=float)
+    r1 = ((k + 1.0) / (m + k + 1.0)) * d[m:]
+
+    # route 2: [w g' - (m-1) g], integrate, shift down by m+1
+    wgp = j * d
+    top = wgp - (m - 1) * d
+    integ = top / (j + 1.0)          # coefficient of z^{j+1}
+    r2 = integ[m:]                   # z^{j+1} / z^{m+1} = z^{j-m}
+
+    # route 3: g/z^m - (m/z^{m+1}) int_0^z g
+    gshift = d[m:]
+    anti = d / (j + 1.0)             # int g, coefficient of z^{j+1}
+    r3 = gshift - m * anti[m:]
+
+    return float(max(np.max(np.abs(r1 - r2)), np.max(np.abs(r1 - r3)),
+                     np.max(np.abs(r2 - r3))))
+
+
+def closed_form_kernel_czn(m: int, n: int, c: complex, j: int,
+                           K: int) -> kernel.CoefficientStream:
+    """Closed-form kernel candidate for conj(z)^m + c z^n, seed slot j.
+
+    Nonzero coefficients sit at positions k(m+n)+j with values
+
+        (-c)^k  prod_{i=1}^{k} (i(m+n)+1+j) / (i n + (i-1) m + 1 + j),
+
+    built as a sum of log magnitudes and a phase (-c/|c|)^k; the scale is
+    the largest log magnitude, or 0 when every entry is at most 1.
+    """
+    if not 0 <= j <= m - 1:
+        raise ValueError("j must lie in 0..m-1")
+    if K < 1:
+        raise ValueError("K must be positive")
+    c = complex(c)
+    step = m + n
+    count = len(range(j, K + 1, step))
+    i = np.arange(1, count, dtype=float)
+    with np.errstate(divide="ignore"):   # c = 0: log|c| = -inf past k = 0
+        ratios = (i * step + 1 + j) / (i * n + (i - 1) * m + 1 + j)
+        lm = np.cumsum(np.concatenate(([0.0], np.log(abs(c)) + np.log(ratios))))[:count]
+    phase = np.exp(1j * cmath.phase(-c) * np.arange(count))
+    scale = float(lm.max(initial=0.0))
+    mant = np.zeros(K + 1, dtype=complex)
+    logmag = np.full(K + 1, -np.inf)
+    mant[j::step] = np.exp(lm - scale) * phase
+    logmag[j::step] = lm
+    return kernel.CoefficientStream(mant, logmag, scale, m)
+
+
+@dataclass(frozen=True)
+class CoburnVerdict:
+    dim_ker: int
+    dim_coker: int
+
+    @property
+    def coburn(self) -> bool:
+        return self.dim_ker == 0 or self.dim_coker == 0
+
+
+def coburn_classify(m: int, n: int, c: complex) -> CoburnVerdict:
+    """Kernel/cokernel dimensions for conj(z)^m + c z^n.
+
+    (m, 0) when |c| < 1 (including c = 0), else (0, n); one of the two is
+    always trivial.
+    """
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
+    if abs(c) < 1:
+        return CoburnVerdict(m, 0)
+    return CoburnVerdict(0, n)
+
+
+class ExtractionError(Exception):
+    """Coefficient extraction would amplify noise beyond usefulness."""
+
+
+# taylor_coefficients samples g_j on the circle |z| = _RADIUS
+_RADIUS = 0.9
+
+
+def taylor_coefficients(basis: odekernel.OdeKernelBasis, j: int, K: int) -> np.ndarray:
+    """First K Taylor coefficients of g_j by FFT at 4K points of the circle
+    |z| = _RADIUS.
+
+    The k-th coefficient is amplified by _RADIUS^-k, so eval noise of size
+    _QUAD_TOL reaches _QUAD_TOL * _RADIUS^-(K-1) at the top; the call
+    refuses K where that exceeds 1e-4 (K >= 176).
+    """
+    samples = 4 * K
+    amp = _RADIUS ** (-(K - 1))
+    if odekernel._QUAD_TOL * amp > 1e-4:
+        raise ExtractionError(
+            f"amplification {amp:.3e} at k={K - 1} with eval tol {odekernel._QUAD_TOL:.1e}")
+    zs = _RADIUS * np.exp(2j * np.pi * np.arange(samples) / samples)
+    vals = basis.eval_basis(j, zs)
+    hat = np.fft.fft(vals) / samples
+    k = np.arange(K)
+    return hat[:K] / _RADIUS**k
+
+
+def residual_check(basis: odekernel.OdeKernelBasis, j: int, K: int = 50) -> float:
+    """Relative Bergman-norm residual of T_phi g_j on the first K-2m coefficients.
+
+    g_j is sampled on a circle, its Taylor coefficients extracted, and the
+    exact coefficient operator applied; only indices unaffected by the
+    truncation are scored.
+    """
+    coeffs = taylor_coefficients(basis, j, K)
+    out = apply_symbol(SpecialFamilySymbol(basis.m, basis.alpha, basis.beta), coeffs)
+    cut = K - 2 * basis.m
+    if cut < 1:
+        raise ValueError("K too small relative to m")
+    w = 1.0 / (np.arange(K) + 1.0)
+    num = math.sqrt(float(np.sum(np.abs(out[:cut]) ** 2 * w[:cut])))
+    den = math.sqrt(float(np.sum(np.abs(coeffs) ** 2 * w)))
+    return num / den
 
 
 def check_schur_cohn_vs_roots(rng, trials):
@@ -28,7 +282,7 @@ def check_schur_cohn_vs_roots(rng, trials):
         # residual bound relative to max|a|); keep the degree honest
         if p.degree != deg or abs(p.coeffs[-1]) < 0.25:
             continue
-        rep = cpoly.schur_cohn(p)
+        rep = schur_cohn(p)
         if rep.is_indeterminate:
             continue
         truth = cpoly.zero_pattern(p, 1e-6).in_disk
@@ -53,7 +307,7 @@ def check_winding_vs_zero_count(rng, trials):
         _, winds = spectrum.curve_windings(sym, [lam], 1e-3)
         if not winds:
             continue
-        quad = symbols.special_to_quadratic(sym, lam)
+        quad = special_to_quadratic(sym, lam)
         count = cpoly.zero_pattern(quad, 1e-6).in_disk
         if count is None:
             continue
@@ -80,7 +334,7 @@ def check_recursion_vs_closed_form(rng, trials):
         seed[j] = 1.0
         K = 120
         a = kernel.recursion_general(symbols.zbar_power_plus(m, [0j] * n + [c]), seed, K)
-        b = kernel.closed_form_kernel_czn(m, n, c, j, K)
+        b = closed_form_kernel_czn(m, n, c, j, K)
         diff = float(np.max(np.abs(a.coefficients() - b.coefficients())))
         scale = float(np.max(np.abs(b.coefficients()))) or 1.0
         worst = max(worst, diff / scale)
@@ -94,7 +348,7 @@ def check_tstar_identity(rng, trials):
         deg = int(rng.integers(m + 1, 51))
         d = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
         d[:m] = 0
-        worst = max(worst, finsect.tstar_zm_check(m, d))
+        worst = max(worst, tstar_zm_check(m, d))
     return worst <= 1e-12, {"worst_residual": worst}
 
 
@@ -145,7 +399,7 @@ def coburn_mismatches(ms, ns, cs, K):
         for n in ns:
             for c in cs:
                 rep = kernel.kernel_dimension((m, [0j] * n + [complex(c)]), K=K)
-                want = kernel.coburn_classify(m, n, c).dim_ker
+                want = coburn_classify(m, n, c).dim_ker
                 if rep.dim != want:
                     bad.append({"m": m, "n": n, "c": [complex(c).real, complex(c).imag],
                                 "got": rep.dim, "want": want})
@@ -168,7 +422,7 @@ def check_family_kernel_vs_t_quadratic(rng, trials):
         m = int(rng.integers(1, 4))
         alpha, beta, gamma = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(3))
         sym = SpecialFamilySymbol(m, alpha, beta, gamma)
-        count = cpoly.zero_pattern(symbols.special_to_quadratic(sym), 1e-6).in_disk
+        count = cpoly.zero_pattern(special_to_quadratic(sym), 1e-6).in_disk
         if count is None:
             continue
         done += 1
@@ -238,7 +492,7 @@ def span_angle(basis: odekernel.OdeKernelBasis, K: int) -> float:
     coefficients of g_1..g_m and of the m unit-seed kernel recursions."""
     m = basis.m
     psi = SpecialFamilySymbol(m, basis.alpha, basis.beta).as_harmonic()
-    ode = np.vstack([odekernel.taylor_coefficients(basis, j, K) for j in range(1, m + 1)])
+    ode = np.vstack([taylor_coefficients(basis, j, K) for j in range(1, m + 1)])
     rec = np.vstack([kernel.recursion_general(psi, np.eye(m)[j], K - 1).coefficients()
                      for j in range(m)])
     qa, _ = np.linalg.qr(ode.conj().T)

@@ -179,19 +179,6 @@ def associated_poly(sym: HarmonicPolySymbol, lam: complex = 0j) -> CPoly:
     return CPoly.make(cs)
 
 
-def special_to_quadratic(sym: SpecialFamilySymbol, lam: complex = 0j) -> CPoly:
-    """The polynomial alpha t^2 + (beta - lam) t + gamma in t = z^m.
-
-    Its zeros, taken to m-th roots, are exactly the zeros of
-    z^m (phi(z) - lam); degree-deficient cases are trimmed (roots at
-    infinity are dropped, a zero constant term keeps the root t = 0).
-    """
-    p = CPoly.make([sym.gamma, sym.beta - lam, sym.alpha])
-    if p.is_zero:
-        raise ValueError("phi - lam vanishes identically on the circle")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------

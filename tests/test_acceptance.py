@@ -12,8 +12,9 @@ import time
 import numpy as np
 
 from bergtoep import cpoly, finsect, kernel, oracles, spectrum
-from bergtoep.kernel import coburn_classify, l2_membership, recursion_general
-from bergtoep.odekernel import OdeKernelBasis, residual_check
+from bergtoep.kernel import l2_membership, recursion_general
+from bergtoep.odekernel import OdeKernelBasis
+from bergtoep.oracles import coburn_classify, residual_check
 from bergtoep.spectrum import classify_projective, curve_windings
 from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, associated_poly
 

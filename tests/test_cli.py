@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergtoep import cli, cpoly, finsect, kernel, odekernel, oracles, spectrum
+from bergtoep import cli, cpoly, finsect, kernel, oracles, spectrum
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               to_json, zbar_power_plus)
 
@@ -79,11 +79,9 @@ class TestKernelCommand:
             1, kernel.ADJOINT_BOUNDS, [1, 1])
         assert not list(tmp_path.glob("kernel_basis_seed*.csv"))
 
-    def test_gj_samples_skipped_when_quadrature_fails(self, capsys, tmp_path, monkeypatch):
+    def test_gj_samples_skipped_when_quadrature_fails(self, capsys, tmp_path):
         # t-roots 2 and 2 (1 + 1e-7): the dimension is decided, but g_2's
-        # radial integrals cannot reach their tolerance.  A lower panel cap
-        # makes the quadrature fail the same way, sooner.
-        monkeypatch.setattr(odekernel, "_MAX_PANELS", 16)
+        # radial integrals cannot reach their tolerance within the panel cap
         rc = run(["kernel", "--family", "m=2,alpha=0.24999997500000248,beta=-0.9999999500000051",
                   "--out", str(tmp_path)])
         assert rc == 0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bergtoep import kernel, odekernel
-from bergtoep.odekernel import (_GAUSS_IDX, _WG, _WK, _XK, OdeKernelBasis, residual_check,
-                                taylor_coefficients)
+from bergtoep import kernel, odekernel, oracles
+from bergtoep.odekernel import _GAUSS_IDX, _WG, _WK, _XK, OdeKernelBasis
+from bergtoep.oracles import residual_check, taylor_coefficients
 from bergtoep.symbols import SpecialFamilySymbol
 
 
@@ -38,7 +38,7 @@ class TestBasisConstruction:
     def test_quarter_case_fields(self):
         b = OdeKernelBasis(1, 0.25, 0.0)
         assert sorted([abs(b.z0m), abs(b.z1m)]) == pytest.approx([2.0, 2.0])
-        e1, e2 = b.exponents
+        e1, e2 = b.e1, b.e2
         assert e2 - e1 == pytest.approx(1.0)
         assert {complex(e1), complex(e2)} == {(-0.5 + 0j), (0.5 + 0j)}
 
@@ -103,7 +103,7 @@ class TestBasisFunctions:
     def test_g1_coefficients_proportional_to_recursion(self):
         b = OdeKernelBasis(1, 0.25, 0.0)
         coeffs = taylor_coefficients(b, 1, 12)
-        stream = kernel.closed_form_kernel_czn(1, 1, 0.25, 0, 11).coefficients()
+        stream = oracles.closed_form_kernel_czn(1, 1, 0.25, 0, 11).coefficients()
         # (1 + z^2/4)^(-3/2) versus 4 (z^2+4)^(-3/2): ratio 1/2 throughout
         assert coeffs[0] == pytest.approx(0.5)
         assert np.allclose(coeffs, 0.5 * stream, rtol=0, atol=1e-9)
@@ -134,7 +134,7 @@ class TestResiduals:
 
     def test_extraction_guard(self):
         b = OdeKernelBasis(1, 0.25, 0.0)
-        with pytest.raises(odekernel.ExtractionError):
+        with pytest.raises(oracles.ExtractionError):
             taylor_coefficients(b, 1, 400)
 
 
@@ -312,3 +312,109 @@ class TestLaneQuadrature:
         with pytest.raises(odekernel.QuadratureError):
             b.eval_basis(2, pts)
         assert _bits(b.eval_basis(2, 0j)) == _bits(ref_eval_basis(b, 2, 0j)[0])
+
+
+def _ref_gk_lanes(f, n, a, b, tol, max_panels, sums=None):
+    """The lane engine as a plain loop: every round re-sums each lane's
+    panel errors and scans its panels for the first worst one.  sums, if
+    given, receives each error sum that is tested."""
+    val, err = odekernel._gk_panels(f, np.arange(n), np.full(n, float(a)), np.full(n, float(b)))
+    panels = [[(a, b, val[i], err[i])] for i in range(n)]
+    out = np.empty(n, dtype=complex)
+    active = list(range(n))
+    for _ in range(max_panels):
+        lanes, lo, hi = [], [], []
+        for i in active:
+            ps = panels[i]
+            if sums is not None:
+                sums.append(sum(p[3] for p in ps))
+            if sum(p[3] for p in ps) <= tol:
+                out[i] = sum(p[2] for p in ps)
+                continue
+            worst = max(range(len(ps)), key=lambda k: ps[k][3])
+            a0, b0, _, _ = ps.pop(worst)
+            mid = 0.5 * (a0 + b0)
+            lanes += (i, i)
+            lo += (a0, mid)
+            hi += (mid, b0)
+        active = lanes[::2]
+        if not active:
+            return out
+        val, err = odekernel._gk_panels(f, np.array(lanes), np.array(lo), np.array(hi))
+        for r, i in enumerate(lanes):
+            panels[i].append((lo[r], hi[r], val[r], err[r]))
+    if active:
+        raise odekernel.QuadratureError(f"did not reach tol {tol:.1e} within {max_panels} panels")
+    return out
+
+
+# Gauss nodes hold 0 and the Kronrod-only nodes 1, so every panel of a
+# lane of this kind has the same error: ties decide the worst panel
+_TIE = np.where(np.arange(15) % 2 == 0, 1.0, 0.0)
+
+
+def _lane_case(gen):
+    """(f, n, tol, max_panels): lanes of mixed kinds, smooth, oscillatory,
+    a narrow peak, zero, tied errors or an endpoint singularity, and in
+    some cases a lane that turns NaN or infinite past part of [0, 1]."""
+    n = int(gen.integers(1, 7))
+    kind = gen.integers(0, 7 if gen.random() < 0.3 else 5, n)
+    freq = gen.uniform(0.0, 100.0, n)
+    width = 10.0 ** gen.uniform(-4.0, -1.0, n)
+    cut = gen.uniform(0.2, 0.9, n)
+
+    def f(lanes, x):
+        k, w, p, c = kind[lanes, None], freq[lanes, None], width[lanes, None], cut[lanes, None]
+        return np.select(
+            [k == 0, k == 1, k == 2, k == 3, k == 4, k == 5],
+            [np.exp(1j * w * x),
+             p / ((x - c) ** 2 + p * p),
+             -0.0 * x + 0j,
+             _TIE * np.where(x[:, :1] > c, 1j, 1.0),
+             x ** -0.5 + 0j,
+             np.where(x > c, np.nan, np.exp(1j * w * x))],
+            np.where(x > c, 1.797e308 * _TIE, 1.0) + 0j)
+    tol = float(gen.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    return f, n, tol, int(gen.choice([0, 1, 5, 40, 200]))
+
+
+def _recorded(engine, f, n, tol, max_panels):
+    calls = []
+
+    def g(lanes, x):
+        calls.append((lanes.tobytes(), x.tobytes()))
+        return f(lanes, x)
+    try:
+        with np.errstate(all="ignore"):
+            outcome = _bits(engine(g, n, 0.0, 1.0, tol, max_panels))
+    except odekernel.QuadratureError as exc:
+        outcome = str(exc)
+    return outcome, calls
+
+
+def test_lane_engine_bitwise_equal_to_plain_loop():
+    gen = np.random.default_rng(25)
+    raised = 0
+    for case in range(120):
+        args = _lane_case(gen)
+        got = _recorded(odekernel._adaptive_gk_lanes, *args)
+        want = _recorded(_ref_gk_lanes, *args)
+        assert got == want, case
+        raised += isinstance(want[0], str)
+    assert 0 < raised < 120
+
+
+def test_lane_engine_at_tolerances_on_its_error_sums():
+    # tol equal to a reached error sum, and one ulp below it: the row sums
+    # cannot decide there, and the lane must still stop where the plain
+    # loop stops
+    for w in (7.0, 40.0, 150.0):
+        def f(lanes, x, w=w):
+            return np.exp(1j * w * x) / (1.0 + x)
+        sums = []
+        with pytest.raises(odekernel.QuadratureError):
+            _ref_gk_lanes(f, 1, 0.0, 1.0, 0.0, 60, sums)
+        for total in sums[5::6]:
+            for tol in (float(total), float(np.nextafter(total, 0.0))):
+                got = _recorded(odekernel._adaptive_gk_lanes, f, 1, tol, 60)
+                assert got == _recorded(_ref_gk_lanes, f, 1, tol, 60), (w, tol)

@@ -33,7 +33,7 @@ def test_library_tour_claims():
     assert values["bt.kernel_dimension((1, [0, 0.99995])).reason"] == (
         "below resolution: K |1 - rho| = 0.5 < 4.5 at the cap K = 20000")
 
-    assert values["bt.schur_cohn(p).in_disk_count"] == 2
+    assert values["bt.oracles.schur_cohn(p).in_disk_count"] == 2
     assert ns["zp"].in_disk == 2
     assert values["zp.distinct()"] is False
 
@@ -43,4 +43,4 @@ def test_library_tour_claims():
     grid = ns["grid"]
     assert grid.certified.tolist() == [False, True]
     assert grid.bounded.tolist() == [True, False]
-    assert values["bt.residual_check(basis, 1)"] <= 1e-12
+    assert values["bt.oracles.residual_check(basis, 1)"] <= 1e-12

@@ -281,7 +281,7 @@ class TestWindingZeroCountIdentity:
             _, winds = curve_windings(sym, [lam], 1e-3)
             if not winds:
                 continue
-            from bergtoep.symbols import special_to_quadratic
+            from bergtoep.oracles import special_to_quadratic
             quad = special_to_quadratic(sym, lam)
             count = cpoly.zero_pattern(quad, 1e-6).in_disk
             if count is None:

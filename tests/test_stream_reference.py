@@ -212,3 +212,40 @@ def test_owed_factor_rounds_like_python(f):
     got = np.array(values, dtype=complex)
     kernel._apply_owed(got, owed)
     assert got.tobytes() == np.array(want, dtype=complex).tobytes()
+
+
+def _owed_case(gen):
+    """Mantissas with signed zero parts, NaN, infinities and subnormals,
+    led by a run of (+-0.0, +0.0) entries, and owed factors that are mostly
+    finite and nonnegative, with cuts short and long."""
+    size = int(gen.choice([1, 5, 40, 600]))
+    scale = 10.0 ** gen.uniform(-330.0, 10.0, (size, 2))
+    parts = gen.normal(size=(size, 2)) * scale
+    odd = gen.random((size, 2))
+    parts[odd < 0.3] = 0.0
+    parts[odd < 0.15] = -0.0
+    parts[odd > 0.97] = gen.choice([math.nan, math.inf, -math.inf])
+    run = int(gen.integers(0, size + 1))
+    parts[:run, 0] = gen.choice([0.0, -0.0], run)
+    parts[:run, 1] = 0.0
+    mant = np.empty(size, dtype=complex)
+    mant.real, mant.imag = parts.T
+    factors = [math.exp(-gen.uniform(0.0, 745.0)) for _ in range(int(gen.integers(1, 30)))]
+    for j in gen.integers(0, len(factors), 3):
+        factors[j] = float(gen.choice([0.0, -0.0, 5e-324, 1.0, -0.5, math.nan, math.inf]))
+    cuts = np.sort(gen.integers(0, size + 1, len(factors)))
+    if gen.random() < 0.3:
+        gen.shuffle(cuts)
+    return mant, [(int(c), f) for c, f in zip(cuts, factors)]
+
+
+def test_apply_owed_equals_per_factor_loop():
+    gen = np.random.default_rng(24)
+    for case in range(300):
+        mant, owed = _owed_case(gen)
+        vals = mant.tolist()
+        for cut, f in owed:
+            vals[:cut] = [x * f for x in vals[:cut]]
+        got = mant.copy()
+        kernel._apply_owed(got, owed)
+        assert got.tobytes() == np.array(vals, dtype=complex).tobytes(), case
