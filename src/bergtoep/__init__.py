@@ -13,7 +13,7 @@ from . import oracles
 from .cpoly import CPoly, NumericIntegrityError, RootFindingError, roots, zero_pattern
 from .finsect import min_singular_values, truncation
 from .kernel import kernel_dimension, recursion_general
-from .odekernel import OdeKernelBasis, QuadratureError
+from .odekernel import OdeKernelBasis
 from .spectrum import (CurveResolutionError, OnCurveError, RouteMismatchError,
                        classify_projective, family_verdict, fredholm_index, membership_grid)
 from .symbols import HarmonicPolySymbol, SpecialFamilySymbol, boundary_curve, zbar_power_plus
@@ -23,6 +23,6 @@ __all__ = [
     "zbar_power_plus", "boundary_curve", "kernel_dimension", "recursion_general",
     "classify_projective", "family_verdict", "fredholm_index", "membership_grid",
     "truncation", "min_singular_values", "OdeKernelBasis", "oracles",
-    "CurveResolutionError", "NumericIntegrityError", "OnCurveError", "QuadratureError",
-    "RootFindingError", "RouteMismatchError",
+    "CurveResolutionError", "NumericIntegrityError", "OnCurveError", "RootFindingError",
+    "RouteMismatchError",
 ]

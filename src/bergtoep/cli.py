@@ -197,10 +197,10 @@ def _write_gj_samples(outdir: Path, sym: SpecialFamilySymbol, config: dict) -> N
     zs = np.concatenate([r * np.exp(1j * angles) for r in radii])
     try:
         basis = odekernel.OdeKernelBasis(norm.m, norm.alpha, norm.beta)
-        # every g_j before the file opens: a closed form that cannot be
-        # evaluated (nearly repeated t-roots) writes no samples at all
+        # every g_j before the file opens: a series that refuses (too
+        # much rounding near the circle) writes no samples at all
         gs = [[float(abs(v)) for v in basis.eval_basis(j, zs)] for j in range(1, norm.m + 1)]
-    except (ValueError, cpoly.NumericIntegrityError, odekernel.QuadratureError):
+    except (ValueError, cpoly.NumericIntegrityError):
         return
     points = list(zip(zs.real.tolist(), zs.imag.tolist()))
     with _csv_open(outdir / "odekernel_gj_samples.csv",

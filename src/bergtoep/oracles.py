@@ -10,8 +10,8 @@ close to the circle) leave it indeterminate.
 
 Each check(rng, trials) returns (ok, detail) with a JSON-ready detail.
 ORACLES lists (name, check, trials) in the order validate runs them on one
-generator; trials is the quick-suite count, which the two fixed-corpus
-checks (coburn-table, odekernel-span) ignore.
+generator; trials is the quick-suite count, which the fixed-corpus check
+coburn-table ignores.
 """
 
 from __future__ import annotations
@@ -228,8 +228,51 @@ class ExtractionError(Exception):
     """Coefficient extraction would amplify noise beyond usefulness."""
 
 
-# taylor_coefficients samples g_j on the circle |z| = _RADIUS
+# taylor_coefficients samples g_j on the circle |z| = _RADIUS, taking
+# eval noise of size _EVAL_NOISE
 _RADIUS = 0.9
+_EVAL_NOISE = 1e-12
+
+
+def ode_exponents(basis: odekernel.OdeKernelBasis) -> tuple[complex, complex]:
+    """e_1 = t_1/(t_0 - t_1) and e_2 = t_0/(t_0 - t_1) of the t-roots."""
+    t0, t1 = basis.z0m, basis.z1m
+    return t1 / (t0 - t1), t0 / (t0 - t1)
+
+
+def _log1p(w: np.ndarray) -> np.ndarray:
+    """Log(1 + w) for complex w, without cancellation for small w."""
+    return 0.5 * np.log1p(2.0 * w.real + np.abs(w) ** 2) + 1j * np.arctan2(w.imag, 1.0 + w.real)
+
+
+def g0_log_v(basis: odekernel.OdeKernelBasis, u) -> np.ndarray:
+    """log V(u) = e_1 Log(1 - u/t_0) - e_2 Log(1 - u/t_1) at u = z^m.
+
+    G_0 = z^m V(z^m) / H(0): since |t_i| > 1, 1 - u/t_i stays in the right
+    half plane on the disk and the principal logarithm is the branch.
+    """
+    u = np.asarray(u, dtype=complex)
+    e1, e2 = ode_exponents(basis)
+    return e1 * _log1p(-u / basis.z0m) - e2 * _log1p(-u / basis.z1m)
+
+
+def g0_eval(basis: odekernel.OdeKernelBasis, z):
+    """The integrating factor G_0 = z^m (z^m - t_0)^{e_1} / (z^m - t_1)^{e_2}
+    at z in the open unit disk, from the product formula in the t-roots,
+    the exponents and the branch anchors Log(-t_i) at z = 0.
+
+    It is the second route to the series of `odekernel`: `TestG0` checks
+    it against closed forms and its logarithmic derivative m / (z (alpha
+    z^{2m} + beta z^m + 1)), and g_1 = G_0 / (z phi_0(z^m)) against it.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) >= 1.0):
+        raise ValueError("G_0 is defined on |z| < 1")
+    e1, e2 = ode_exponents(basis)
+    h0 = cmath.exp(-e1 * cmath.log(-basis.z0m) + e2 * cmath.log(-basis.z1m))
+    zm = z**basis.m
+    out = zm * np.exp(g0_log_v(basis, zm)) / h0
+    return out if out.shape else complex(out)
 
 
 def taylor_coefficients(basis: odekernel.OdeKernelBasis, j: int, K: int) -> np.ndarray:
@@ -237,14 +280,14 @@ def taylor_coefficients(basis: odekernel.OdeKernelBasis, j: int, K: int) -> np.n
     |z| = _RADIUS.
 
     The k-th coefficient is amplified by _RADIUS^-k, so eval noise of size
-    _QUAD_TOL reaches _QUAD_TOL * _RADIUS^-(K-1) at the top; the call
+    _EVAL_NOISE reaches _EVAL_NOISE * _RADIUS^-(K-1) at the top; the call
     refuses K where that exceeds 1e-4 (K >= 176).
     """
     samples = 4 * K
     amp = _RADIUS ** (-(K - 1))
-    if odekernel._QUAD_TOL * amp > 1e-4:
+    if _EVAL_NOISE * amp > 1e-4:
         raise ExtractionError(
-            f"amplification {amp:.3e} at k={K - 1} with eval tol {odekernel._QUAD_TOL:.1e}")
+            f"amplification {amp:.3e} at k={K - 1} with eval noise {_EVAL_NOISE:.1e}")
     zs = _RADIUS * np.exp(2j * np.pi * np.arange(samples) / samples)
     vals = basis.eval_basis(j, zs)
     hat = np.fft.fft(vals) / samples
@@ -497,13 +540,22 @@ def span_angle(basis: odekernel.OdeKernelBasis, K: int) -> float:
                      for j in range(m)])
     qa, _ = np.linalg.qr(ode.conj().T)
     qb, _ = np.linalg.qr(rec.conj().T)
-    sv = np.clip(np.linalg.svd(qa.conj().T @ qb, compute_uv=False), 0.0, 1.0)
-    return float(np.arccos(sv.min()))
+    # the sine, ||(I - P_ode) Q_rec||, resolves small angles, where the
+    # arccos of a cosine near 1 cannot go below about 2e-8
+    sine = np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2)
+    return float(np.arcsin(min(sine, 1.0)))
 
 
 def check_odekernel_span(rng, trials):
-    angle = span_angle(odekernel.OdeKernelBasis(2, 0.1 + 0j, 0.1 + 0j), 40)
-    return angle < 1e-6, {"subspace_angle": angle}
+    worst = 0.0
+    for _ in range(trials):
+        # t-roots of modulus 1.2..3 at random angles: alpha t^2 + beta t + 1
+        t0, t1 = rng.uniform(1.2, 3.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        basis = odekernel.OdeKernelBasis(int(rng.integers(1, 5)), 1.0 / (t0 * t1),
+                                         -(t0 + t1) / (t0 * t1))
+        # K = 60: the FFT's aliasing stays near 1e-13 even for m = 4 and |t| = 1.2
+        worst = max(worst, span_angle(basis, 60))
+    return worst < 1e-9, {"trials": trials, "worst_subspace_angle": worst}
 
 
 def check_boundary_identity(rng, trials):
@@ -535,6 +587,6 @@ ORACLES = (
     ("region-inequality-agreement", check_region_agreement, 200),
     ("coburn-table", check_coburn_table, 1),
     ("ellipse-vs-classify", check_ellipse_vs_classify, 20),
-    ("odekernel-span", check_odekernel_span, 1),
+    ("odekernel-span", check_odekernel_span, 4),
     ("family-kernel-vs-t-quadratic", check_family_kernel_vs_t_quadratic, 200),
 )

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergtoep import cli, cpoly, finsect, kernel, oracles, spectrum
+from bergtoep import cli, cpoly, finsect, kernel, odekernel, oracles, spectrum
 from bergtoep.symbols import (HarmonicPolySymbol, SpecialFamilySymbol, associated_poly,
                               to_json, zbar_power_plus)
 
@@ -79,16 +79,31 @@ class TestKernelCommand:
             1, kernel.ADJOINT_BOUNDS, [1, 1])
         assert not list(tmp_path.glob("kernel_basis_seed*.csv"))
 
-    def test_gj_samples_skipped_when_quadrature_fails(self, capsys, tmp_path):
-        # t-roots 2 and 2 (1 + 1e-7): the dimension is decided, but g_2's
-        # radial integrals cannot reach their tolerance within the panel cap
-        rc = run(["kernel", "--family", "m=2,alpha=0.24999997500000248,beta=-0.9999999500000051",
+    def test_gj_samples_for_nearly_repeated_t_roots(self, capsys, tmp_path):
+        # t-roots 2 and 2 (1 + 1e-7): the exponents are near -1e7, but the
+        # series of W has modest coefficients
+        alpha, beta = 0.24999997500000248, -0.9999999500000051
+        rc = run(["kernel", "--family", f"m=2,alpha={alpha!r},beta={beta!r}",
                   "--out", str(tmp_path)])
         assert rc == 0
         out, err = capsys.readouterr()
         assert out.startswith("kernel dim: 2\n") and "Traceback" not in err
+        samples = (tmp_path / "odekernel_gj_samples.csv").read_text().splitlines()
+        assert len(samples) == 482
+        basis = odekernel.OdeKernelBasis(2, alpha, beta)
+        assert oracles.span_angle(basis, 40) < 1e-6
+        assert max(oracles.residual_check(basis, j) for j in (1, 2)) <= 1e-6
+
+    def test_gj_samples_skipped_when_series_refuses(self, capsys, tmp_path):
+        # t-roots 1.01 and 1.02: near u = 0.95 the series of W cancels terms
+        # about 1e8 times its value, past the rounding bound
+        rc = run(["kernel", "--family", "m=1,alpha=0.9706853038245001,beta=-1.9704911667637355",
+                  "--out", str(tmp_path)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("kernel dim: 1\n") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "kernel_basis_seed0.csv", "kernel_basis_seed1.csv", "kernel_summary.json"]
+            "kernel_basis_seed0.csv", "kernel_summary.json"]
 
     @pytest.mark.parametrize("c", ["1e160", "1e200"])
     def test_large_coefficient_decides(self, capsys, c):

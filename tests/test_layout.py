@@ -20,8 +20,6 @@ ANSWER = ("cpoly", "finsect", "kernel", "symbols", "odekernel", "spectrum")
 JUSTIFIED = {
     # a stream's true values, mant * exp(log_scale): part of the type
     "kernel.CoefficientStream.coefficients",
-    # reads the basis's private branch data (_h0, _v)
-    "odekernel.OdeKernelBasis.g0_eval",
 }
 
 
