@@ -31,14 +31,10 @@ streams from divergent ones.  Streams on the exact boundary are reported
 as undecided, never rounded.
 
 Growth can exceed the double range long before K = 20000, so streams are
-generated with block renormalization: stored values are mantissas with a
-shared log scale, and true log magnitudes follow from the moduli and the
-scale in force when each entry was created.  A rescale multiplies only the
-recursion's lookback window, its last m + n + 1 entries; the older entries
-owe the factor, and the owed factors are applied in order, with Python's
-complex-by-float rounding, when the stream is finished.  The mantissas are
-therefore the same as if every rescale had rewritten the whole history
-(recursion_general says how a class run keeps to this).
+generated with block renormalization: each stored mantissa has its own log
+scale, and true log magnitudes use the scale in force at creation.  A
+rescale divides only the recursion's lookback window, its last m + n + 1
+entries, and raises the scale from there on; older entries keep theirs.
 A product past the double range makes the stream non-finite, and
 l2_membership then answers undecided rather than read it.
 
@@ -110,18 +106,18 @@ UNDECIDED = "undecided"
 class CoefficientStream:
     """Taylor coefficients d_0..d_K with scale bookkeeping.
 
-    True coefficients are ``mant * exp(log_scale)``; ``logmag`` holds the
-    true log magnitudes recorded before any renormalization could
-    underflow the mantissas.  ``stride`` is the index step at which ratio
+    True coefficients are ``mant * exp(log_scale)``, with one log scale per
+    entry; ``logmag`` holds the true log magnitudes recorded when each
+    entry was created.  ``stride`` is the index step at which ratio
     diagnostics are taken (the anti-analytic degree m for the kernel
     recursions).
     """
 
     def __init__(self, mant: np.ndarray, logmag: np.ndarray,
-                 log_scale: float, stride: int):
+                 log_scale: np.ndarray, stride: int):
         self.mant = np.asarray(mant, dtype=complex)
         self.logmag = np.asarray(logmag, dtype=float)
-        self.log_scale = float(log_scale)
+        self.log_scale = np.asarray(log_scale, dtype=float)
         self.stride = int(stride)
         self._log_norm = None
 
@@ -146,22 +142,25 @@ class CoefficientStream:
         return out
 
     def coefficients(self) -> np.ndarray:
-        """True coefficient values; fails when the scale exceeds float range."""
-        if self.log_scale > 690.0:
+        """True coefficient values; fails when a scale exceeds float range."""
+        if self.log_scale.max(initial=0.0) > 690.0:
             raise OverflowError("stream exceeds float range; use mant/logmag")
-        return self.mant * math.exp(self.log_scale)
+        return self.mant * np.exp(self.log_scale)
 
     def to_csv(self, path) -> None:
         """Columns k, re, im, norm_partial, log_scale.
 
-        re/im are mantissas; the true coefficient is (re+1j*im)*exp(log_scale).
+        re/im are mantissas; row k's coefficient is (re+1j*im)*exp(log_scale).
         """
-        tail = f",{self.log_scale!r}\n"
-        rows = zip(self.mant.tolist(), self.norm_partials.tolist())
+        scales = self.log_scale
+        starts = np.flatnonzero(np.r_[True, scales[1:] != scales[:-1]])   # runs of equal scale
+        tails = np.array([f",{x!r}\n" for x in scales[starts].tolist()], dtype=object)
+        rows = zip(self.mant.tolist(), self.norm_partials.tolist(),
+                   np.repeat(tails, np.diff(starts, append=len(self))).tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("k,re,im,norm_partial,log_scale\n")
-            fh.writelines(f"{k},{v.real!r},{v.imag!r},{p!r}{tail}"
-                          for k, (v, p) in enumerate(rows))
+            fh.writelines(f"{k},{v.real!r},{v.imag!r},{p!r}{t}"
+                          for k, (v, p, t) in enumerate(rows))
 
 
 def _log_moduli(mods: list, scales: np.ndarray) -> np.ndarray:
@@ -183,48 +182,6 @@ def _log_moduli(mods: list, scales: np.ndarray) -> np.ndarray:
     logs = np.fromiter(map(math.log, mods[idx].tolist()), dtype=float, count=len(idx))
     out[idx] = logs + scales[idx]
     return out
-
-
-# Whether complex * float promotes the float to complex(f, 0.0), as CPython
-# before 3.14 does; the promoted zero can flip the sign of a zero part.
-_PROMOTES_REAL = math.copysign(1.0, (complex(-0.0, -1.0) * 1.0).real) > 0.0
-
-# Owed spans at most this long are multiplied as Python complexes: a numpy
-# multiply of a span costs about 3.6 us up to 32 entries, the Python loop
-# 0.9 us for 1 entry and 2.4 us for 16.
-_SHORT_SPAN = 16
-
-
-def _apply_owed(mant: np.ndarray, owed: Sequence[tuple[int, float]]) -> None:
-    """In place: mant[:cut] *= factor for each (cut, factor), in order.
-
-    Every product is rounded as the Python ``complex * float`` the factor
-    would have been applied with at rescale time, zero signs included.
-    (+-0.0, +0.0) is a fixed point of every finite factor f >= +0.0 (s * f
-    - 0.0 * 0.0 is s and s * 0.0 + 0.0 * f is +0.0 for s = +-0.0), so such
-    a factor starts past the leading run of those entries, which a nonzero
-    first entry, the common case, ends without a scan.
-    """
-    re, im = mant.real, mant.imag
-    start = 0
-    with np.errstate(invalid="ignore"):
-        for cut, f in owed:
-            if not (math.copysign(1, f) > 0 and f < math.inf):
-                start = 0
-            elif start < cut and mant[start] == 0:
-                moving = (mant[start:cut] != 0) | np.signbit(im[start:cut])
-                start = start + int(moving.argmax()) if moving.any() else cut
-            if cut - start <= _SHORT_SPAN:
-                mant[start:cut] = [x * f for x in mant[start:cut].tolist()]
-                continue
-            r, i = re[start:cut], im[start:cut]
-            r0, i0 = r * 0.0, i * 0.0
-            r *= f
-            i *= f
-            if _PROMOTES_REAL:
-                # re*f - im*0.0 and re*0.0 + im*f, operands in CPython's order
-                r -= i0
-                np.add(r0, i, out=i)
 
 
 def _shift_gcd(sym: HarmonicPolySymbol) -> int:
@@ -283,20 +240,22 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     must be finite.
 
     With g as in the module docstring, when every nonzero seed slot lies in
-    one class r, only the positions p = r (mod g) are computed and stored:
+    one class r, only the positions p = r (mod g) are computed and stored,
     in compact lists indexed by class step, where every read is a fixed
-    offset (shift / g) back and a rescale's window and owed cut count class
-    entries.  At any other position the full recursion reads zeros alone: its
-    sums start at 0j and gain only zero terms, so they stay 0j, and
-    -(p + 1) * 0j is one signed zero for every p (complex(-0.0, 0.0) on
-    CPython 3.11), which no rescale factor changes.  The finished stream
-    holds that zero there (the seed's own zero below m) and log magnitude
-    -inf.  A zero seed slot whose imaginary part is -0.0 would change under
-    a factor, so it counts as a nonzero slot.  The block bookkeeping stays
-    positional: a block that closes on a skipped position, after the last
-    computed entry too, rescales there, so the stream is bitwise that of
-    the full recursion.  With g = 1, a seed over several classes, or no
-    shifts at all (conj(z)^m alone) the same walk runs with stride 1.
+    offset (shift / g) back.  At any other position the full recursion
+    reads zeros alone: its sums stay 0j, and -(p + 1) * 0j is one signed
+    zero for every p (complex(-0.0, 0.0) on CPython 3.11), which no rescale
+    factor changes.  The finished stream holds that zero there (the seed's
+    own zero below m) and log magnitude -inf.  A zero seed slot whose
+    imaginary part is -0.0 would change under a factor, so it counts as a
+    nonzero slot.  The block bookkeeping stays positional: a block that
+    closes on a skipped position, after the last computed entry too,
+    rescales there, so the stream is bitwise that of the full recursion.
+    With g = 1, a seed over several classes, or no shifts at all
+    (conj(z)^m alone) the same walk runs with stride 1.  A rescale at the
+    block's last position p divides the window, positions cut = max(0, p -
+    m - n) on, and raises the scale: an entry's log_scale is the scale
+    after the last rescale whose cut is at or below it.
     """
     m, n = sym.m, sym.n
     if len(seed) != m:
@@ -306,7 +265,6 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     seed = [complex(v) for v in seed]
     if not all(map(cmath.isfinite, seed)):
         raise ValueError("seed must be finite")
-    window = m + n + 1                  # the lookback the recursion reads
     g = _shift_gcd(sym)
     classes = {j % g for j, v in enumerate(seed) if v or math.copysign(1.0, v.imag) < 0}
     stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
@@ -323,9 +281,8 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     qm = len(vals)
     mods = [abs(v) for v in vals] + [0.0] * (count - qm)   # moduli at creation
     vals += [0j] * (count - qm)
-    owed: list[tuple[int, float]] = []  # (cut, factor): entries below cut owe factor
-    scale_from = [(0, 0.0)]             # (first entry, log scale in force)
-    scale, blockmax, closed = 0.0, 0.0, False
+    steps = [(0, 0, 0.0)]               # (first entry made at this scale, cut, log scale)
+    blockmax, closed = 0.0, False
     q, bend = 0, _BLOCK - 1             # the next entry; the position closing its block
     while True:
         # the entries up to the block end; one past `hard` closes the block there
@@ -346,29 +303,24 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
         if bend > K:
             break
         if closed or blockmax > _BLOCK_LIMIT:
-            # divide by blockmax: the window now, older entries when finished
+            # divide the window by blockmax; older entries keep their scale
             shift = math.log(blockmax)
             f = math.exp(-shift)
-            cut = max(0, (bend + 1 - window - r + stride - 1) // stride)
-            vals[cut:q] = [x * f for x in vals[cut:q]]
-            if cut:
-                owed.append((cut, f))
-            scale += shift
-            scale_from.append((q, scale))
+            cut = max(0, bend - m - n)      # the start of the lookback window
+            qc = (cut - r + stride - 1) // stride   # the window's first class entry
+            vals[qc:q] = [x * f for x in vals[qc:q]]
+            steps.append((q, cut, steps[-1][2] + shift))
             blockmax, closed = 1.0, False
         bend += _BLOCK
-    mant = np.array(vals, dtype=complex)
-    _apply_owed(mant, owed)
-    starts, scales = zip(*scale_from)
-    logs = _log_moduli(mods, np.repeat(scales, np.diff(starts + (count,))))
+    made, cuts, scales = zip(*steps)
     # every other position holds the full recursion's value there, by its own
     # expression, so it follows this interpreter's int-by-complex rounding
     full = np.full(K + 1, -(m + 1) * (0j + 0j / 1))
     full[:m] = seed
-    full[r::stride] = mant
+    full[r::stride] = vals
     logmag = np.full(K + 1, -np.inf)
-    logmag[r::stride] = logs
-    return CoefficientStream(full, logmag, scale, m)
+    logmag[r::stride] = _log_moduli(mods, np.repeat(scales, np.diff(made + (count,))))
+    return CoefficientStream(full, logmag, np.repeat(scales, np.diff(cuts + (K + 1,))), m)
 
 
 @dataclass(frozen=True)
@@ -380,7 +332,8 @@ class MembershipVerdict:
     undecided, for a stream that holds a NaN or infinite entry;
     kernel_dimension sets on_circle for a rate on the unit circle, and
     unresolved, with status undecided, for a stream it cannot resolve
-    within its cap.  terms_used is the index K of the last coefficient read.
+    within its cap or a non_member seed at index m.  terms_used is the
+    index K of the last coefficient read.
     """
 
     status: str
@@ -520,7 +473,7 @@ def _prefix(stream: CoefficientStream, K: int) -> CoefficientStream:
     when it is created, so the prefix gets the verdict a run to K gets.
     """
     return CoefficientStream(stream.mant[:K + 1], stream.logmag[:K + 1],
-                             stream.log_scale, stream.stride)
+                             stream.log_scale[:K + 1], stream.stride)
 
 
 def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) -> KernelReport:
@@ -553,11 +506,13 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     * zeros not found: one run at the cap, as l2_membership decides.
 
     A count below max(index, 0) contradicts dim ker >= index, so the report
-    is then undecided, the seed verdicts unchanged, and its reason names
-    the adjoint bounds when they were recorded.  A seed stream that
-    overflows (route non_finite) makes the report undecided at once.  Every
-    undecided report carries a reason; a decided one says how dim was found
-    (dim_route).  bounds holds (lo, hi) when the adjoint ran and lo <= hi.
+    is then undecided, and its reason names the adjoint bounds when they
+    were recorded.  At index m every unit seed lies in the kernel, so a
+    non_member seed is then undecided (route unresolved).  A seed stream
+    that overflows (route non_finite) makes the report undecided at once.
+    Every undecided report carries a reason; a decided one says how dim was
+    found (dim_route).  bounds holds (lo, hi) when the adjoint ran and
+    lo <= hi.
 
     A tuple (m, f) is shorthand for zbar_power_plus(m, f); a family symbol
     runs as psi = phi/gamma, or for gamma = 0 is an injective
@@ -679,8 +634,13 @@ def _count(streams: list[CoefficientStream], verdicts: list[MembershipVerdict],
         if index is None or len(members) >= index:
             return KernelReport(len(members), False, verdicts, members,
                                 dim_route=SEED_COUNT, bounds=bounds)
-        reason = (f"{len(members)} member seeds but index {index}: kernel "
-                  "vectors may combine non-member seeds")
+        reason = f"{len(members)} member seeds but index {index}: "
+        if index < len(verdicts):
+            reason += "kernel vectors may combine non-member seeds"
+        else:   # dim ker >= m: every unit seed lies in the kernel
+            reason += f"the seed verdicts are wrong at K = {verdicts[0].terms_used}"
+            verdicts = tuple(replace(v, status=UNDECIDED, route=UNRESOLVED)
+                             if v.status == NON_MEMBER else v for v in verdicts)
     if bounds is not None:
         reason += f"; adjoint bounds [{bounds[0]}, {bounds[1]}]"
     return KernelReport(None, True, verdicts, tuple(streams), reason, bounds=bounds)

@@ -198,7 +198,7 @@ def closed_form_kernel_czn(m: int, n: int, c: complex, j: int,
     logmag = np.full(K + 1, -np.inf)
     mant[j::step] = np.exp(lm - scale) * phase
     logmag[j::step] = lm
-    return kernel.CoefficientStream(mant, logmag, scale, m)
+    return kernel.CoefficientStream(mant, logmag, np.full(K + 1, scale), m)
 
 
 @dataclass(frozen=True)

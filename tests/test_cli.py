@@ -105,6 +105,16 @@ class TestKernelCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "kernel_basis_seed0.csv", "kernel_summary.json"]
 
+    def test_non_member_seed_at_index_m_is_undecided(self, capsys):
+        # t-roots 1.001 and 1.002, both outside the disk: index m = 1, so the
+        # seed is in the kernel, but its stream still grows at K = 20000
+        rc = run(["kernel", "--family", "m=1,alpha=0.9970069850309372,beta=-1.9970049910169674"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out == "kernel dim: undecided\n  seed 0: undecided rho=1.00565\n"
+        assert err == ("undecided: 0 member seeds but index 1: "
+                       "the seed verdicts are wrong at K = 20000\n")
+
     @pytest.mark.parametrize("c", ["1e160", "1e200"])
     def test_large_coefficient_decides(self, capsys, c):
         # Coburn's table (m = 1, n = 0, |c| >= 1) gives 0

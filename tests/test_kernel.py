@@ -15,7 +15,7 @@ def stream_of(values, stride=1):
     """The coefficients as a stream at log scale 0, e.g. a synthetic profile."""
     mant = np.asarray(list(values), dtype=complex)
     with np.errstate(divide="ignore"):
-        return CoefficientStream(mant, np.log(np.abs(mant)), 0.0, stride)
+        return CoefficientStream(mant, np.log(np.abs(mant)), np.zeros(len(mant)), stride)
 
 
 def unit_seed(m, j):
@@ -512,7 +512,10 @@ class TestAdaptiveK:
         assert rep.verdicts[0].terms_used == 20000
         rep = kernel_dimension(family(0.99, 1.1, 2), K=1000)
         assert rep.dim is None and rep.reason.startswith("0 member seeds but index 2")
-        assert [v.status for v in rep.verdicts] == [kernel.NON_MEMBER] * 2
+        # at index m = 2 every unit seed is in the kernel: the non_member
+        # verdicts are wrong at this K, not coupled
+        assert [(v.status, v.route) for v in rep.verdicts] == [
+            (kernel.UNDECIDED, kernel.UNRESOLVED)] * 2
         rep = kernel_dimension(family(0.99, 1.3, 1), K=1000)
         assert rep.dim is None
         assert rep.reason == "seed verdicts at K = 500 and K = 1000 differ at the cap"
@@ -565,7 +568,7 @@ class TestStreamPlumbing:
     def test_rescaling_keeps_logmag(self):
         s = recursion_general(zbar_power_plus(1, [3.0]), [1.0], 2000)
         # |d_k| = (k+1) 3^k overflows well before k = 2000
-        assert s.log_scale > 0
+        assert s.log_scale[-1] > 0
         want = math.log(501.0) + 500 * math.log(3.0)
         assert s.logmag[500] == pytest.approx(want, rel=1e-12)
 
@@ -573,7 +576,7 @@ class TestStreamPlumbing:
         # growth far beyond the double range: compare true log magnitudes
         a = recursion_general(zbar_power_plus(1, [1.5]), [1.0], 5000)
         b = closed_form_kernel_czn(1, 0, 1.5, 0, 5000)
-        assert b.log_scale > 0
+        assert b.log_scale[-1] > 0
         assert np.all(np.isfinite(b.mant))
         assert np.allclose(a.logmag, b.logmag, rtol=1e-12, atol=1e-9)
         assert l2_membership(b).status == kernel.NON_MEMBER
@@ -587,6 +590,24 @@ class TestStreamPlumbing:
         assert len(lines) == 52
         k, re, im, npart, scale = lines[1].split(",")
         assert k == "0" and float(re) == 1.0 and float(scale) == 0.0
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_rescaled_csv_is_self_consistent(self, tmp_path, j):
+        # phi_0 zeros a hair off the circle: the stream grows slowly and
+        # rescales 7 times by K = 4000; each row's own log_scale keeps its
+        # mantissa a normal double that, with that scale, gives its logmag
+        sym = HarmonicPolySymbol(2, (-3.1666566667666656,), (
+            2.333311666883331, 0.16666833331666686, -0.33333000003333296))
+        s = recursion_general(sym, unit_seed(2, j), 4000)
+        path = tmp_path / "stream.csv"
+        s.to_csv(path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        mant = rows[:, 1] + 1j * rows[:, 2]
+        finite = np.isfinite(s.logmag)
+        assert finite.sum() == 4000 and np.all(mant[finite] != 0)
+        got = np.log(np.abs(mant[finite])) + rows[finite, 4]
+        assert np.allclose(got, s.logmag[finite], rtol=1e-12, atol=1e-12)
+        assert len(np.unique(rows[:, 4])) == 8
 
     def test_residual_against_coefficient_operator(self):
         # kernel streams (decaying and growing alike) are annihilated up to

@@ -1,14 +1,17 @@
 """The kernel stream generator against a whole-history reference.
 
 The reference below rescales the whole history at every block-limit
-rescale, as the generator once did.  recursion_general rescales only the
-recursion's lookback window and applies the owed factors once, when the
-stream is finished; it must give byte-identical streams and CSV files
-(zero signs included) on a seeded corpus that exercises every rescale
-path.  recursion_general runs only the seed's residue class when the
-recursion splits into classes; the reference runs every position, so the
-skipped positions are checked as well.  Both read a zero or subnormal
-modulus as log magnitude -inf.
+rescale, as the generator once did, and records where each rescale's
+lookback window started and its factor.  recursion_general rescales only
+the window, and an older entry keeps its mantissa and scale.  On a seeded
+corpus that exercises every rescale path, the two must give byte-identical
+log magnitudes and final log scales, and each new mantissa, times the
+factors of the later rescales whose window started above it, applied in
+order, must be the reference mantissa bit for bit (zero signs included).
+recursion_general runs only the seed's residue class when the recursion
+splits into classes; the reference runs every position, so the skipped
+positions are checked as well.  Both read a zero or subnormal modulus as
+log magnitude -inf.
 """
 
 import cmath
@@ -32,8 +35,10 @@ class RefStreamBuilder:
 
     events = {"block": 0, "hard": 0, "zero": 0}
 
-    def __init__(self, stride: int):
+    def __init__(self, stride: int, window: int):
         self.vals: list[complex] = []
+        self.window = window
+        self.rescales: list[tuple[int, float]] = []   # (window start, factor)
         self.logmag: list[float] = []
         self.scale = 0.0
         self.stride = stride
@@ -60,6 +65,7 @@ class RefStreamBuilder:
         shift = math.log(self._blockmax)
         f = math.exp(-shift)
         self.vals = [x * f for x in self.vals]
+        self.rescales.append((max(0, len(self.vals) - self.window), f))
         self.scale += shift
         self._blockmax = 1.0
         self._since = 0
@@ -70,14 +76,14 @@ class RefStreamBuilder:
     def finish(self) -> CoefficientStream:
         return CoefficientStream(np.array(self.vals, dtype=complex),
                                  np.array(self.logmag, dtype=float),
-                                 self.scale, self.stride)
+                                 np.full(len(self.vals), self.scale), self.stride)
 
 
 def ref_general(sym, seed, K):
     m = sym.m
     anti = [(m - i, complex(c)) for i, c in enumerate(sym.anti, start=1) if c != 0]
     ana = [(i, complex(a)) for i, a in enumerate(sym.ana) if a != 0]
-    b = RefStreamBuilder(stride=m)
+    b = RefStreamBuilder(stride=m, window=m + sym.n + 1)
     for v in seed:
         b.append(v)
     for k in range(K - m + 1):
@@ -89,7 +95,7 @@ def ref_general(sym, seed, K):
             if i <= k:
                 t += a * b[k - i]
         b.append(-(m + k + 1) * (s + t / (k + 1)))
-    return b.finish()
+    return b.finish(), b.rescales
 
 
 def ref_to_csv(stream: CoefficientStream, path) -> None:
@@ -99,7 +105,7 @@ def ref_to_csv(stream: CoefficientStream, path) -> None:
         for k in range(len(stream.mant)):
             v = stream.mant[k]
             fh.write(f"{k},{float(v.real)!r},{float(v.imag)!r},"
-                     f"{float(npart[k])!r},{stream.log_scale!r}\n")
+                     f"{float(npart[k])!r},{float(stream.log_scale[k])!r}\n")
 
 
 def _coeffs(gen, count, real):
@@ -173,11 +179,13 @@ def _corpus():
 CORPUS = _corpus()
 
 
-def _same(a: CoefficientStream, b: CoefficientStream) -> bool:
-    return (a.mant.tobytes() == b.mant.tobytes()
-            and a.logmag.tobytes() == b.logmag.tobytes()
-            and np.float64(a.log_scale).tobytes() == np.float64(b.log_scale).tobytes()
-            and a.stride == b.stride)
+def _owing(stream: CoefficientStream, rescales) -> np.ndarray:
+    """The mantissas times the factors each entry owes: those of the
+    rescales whose window started above it, in order."""
+    vals = stream.mant.tolist()
+    for start, f in rescales:
+        vals[:start] = [x * f for x in vals[:start]]
+    return np.array(vals, dtype=complex)
 
 
 def test_streams_byte_identical_to_reference(tmp_path):
@@ -185,67 +193,22 @@ def test_streams_byte_identical_to_reference(tmp_path):
     underflowed = 0
     mismatched = []
     for idx, (name, new, ref) in enumerate(CORPUS):
-        got, want = new(), ref()
-        if not _same(got, want):
+        got, (want, rescales) = new(), ref()
+        if not (got.logmag.tobytes() == want.logmag.tobytes()
+                and got.log_scale[-1:].tobytes() == want.log_scale[-1:].tobytes()
+                and _owing(got, rescales).tobytes() == want.mant.tobytes()
+                and got.stride == want.stride):
             mismatched.append((idx, name))
             continue
         underflowed += int(np.sum((want.mant == 0) & np.isfinite(want.logmag)))
         got.to_csv(tmp_path / "got.csv")
-        ref_to_csv(want, tmp_path / "want.csv")
+        ref_to_csv(got, tmp_path / "want.csv")
         if (tmp_path / "got.csv").read_bytes() != (tmp_path / "want.csv").read_bytes():
             mismatched.append((idx, name + " csv"))
     assert not mismatched
-    # the corpus reaches every rescale path and the zero-mantissa case
+    # the corpus reaches every rescale path, and the whole-history
+    # rescale underflows entries to zero mantissas
     events = RefStreamBuilder.events
     assert events["block"] > 0 and events["hard"] > 0
     assert events["zero"] > 0
     assert underflowed > 0
-
-
-@pytest.mark.parametrize("f", [math.exp(-230.5), 1e-300, 0.5])
-def test_owed_factor_rounds_like_python(f):
-    parts = (0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324, math.inf, -math.inf, math.nan)
-    values = [complex(re, im) for re in parts for im in parts]
-    owed = [(len(values), f), (len(values) // 2, f)]
-    want = [x * f for x in values]
-    want = [x * f for x in want[: len(values) // 2]] + want[len(values) // 2:]
-    got = np.array(values, dtype=complex)
-    kernel._apply_owed(got, owed)
-    assert got.tobytes() == np.array(want, dtype=complex).tobytes()
-
-
-def _owed_case(gen):
-    """Mantissas with signed zero parts, NaN, infinities and subnormals,
-    led by a run of (+-0.0, +0.0) entries, and owed factors that are mostly
-    finite and nonnegative, with cuts short and long."""
-    size = int(gen.choice([1, 5, 40, 600]))
-    scale = 10.0 ** gen.uniform(-330.0, 10.0, (size, 2))
-    parts = gen.normal(size=(size, 2)) * scale
-    odd = gen.random((size, 2))
-    parts[odd < 0.3] = 0.0
-    parts[odd < 0.15] = -0.0
-    parts[odd > 0.97] = gen.choice([math.nan, math.inf, -math.inf])
-    run = int(gen.integers(0, size + 1))
-    parts[:run, 0] = gen.choice([0.0, -0.0], run)
-    parts[:run, 1] = 0.0
-    mant = np.empty(size, dtype=complex)
-    mant.real, mant.imag = parts.T
-    factors = [math.exp(-gen.uniform(0.0, 745.0)) for _ in range(int(gen.integers(1, 30)))]
-    for j in gen.integers(0, len(factors), 3):
-        factors[j] = float(gen.choice([0.0, -0.0, 5e-324, 1.0, -0.5, math.nan, math.inf]))
-    cuts = np.sort(gen.integers(0, size + 1, len(factors)))
-    if gen.random() < 0.3:
-        gen.shuffle(cuts)
-    return mant, [(int(c), f) for c, f in zip(cuts, factors)]
-
-
-def test_apply_owed_equals_per_factor_loop():
-    gen = np.random.default_rng(24)
-    for case in range(300):
-        mant, owed = _owed_case(gen)
-        vals = mant.tolist()
-        for cut, f in owed:
-            vals[:cut] = [x * f for x in vals[:cut]]
-        got = mant.copy()
-        kernel._apply_owed(got, owed)
-        assert got.tobytes() == np.array(vals, dtype=complex).tobytes(), case
