@@ -187,20 +187,17 @@ _VERDICT_COLORS = {
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _write_gj_samples(outdir: Path, sym: SpecialFamilySymbol, config: dict) -> None:
-    """|g_j| of the closed-form basis on a polar grid, when it applies."""
-    if sym.gamma == 0:
-        return
-    norm = sym.normalized()
+def _write_gj_samples(outdir: Path, sym: symbols.HarmonicPolySymbol, config: dict) -> None:
+    """|g_j| of the closed-form basis of sym on a polar grid, when it applies."""
     radii = np.linspace(0.05, 0.95, 10)
     angles = 2 * np.pi * np.arange(24) / 24
     zs = np.concatenate([r * np.exp(1j * angles) for r in radii])
     try:
-        basis = odekernel.OdeKernelBasis(norm.m, norm.alpha, norm.beta)
+        basis = odekernel.OdeKernelBasis(sym)
         # every g_j before the file opens: a series that refuses (too
         # much rounding near the circle) writes no samples at all
-        gs = [[float(abs(v)) for v in basis.eval_basis(j, zs)] for j in range(1, norm.m + 1)]
-    except (ValueError, cpoly.NumericIntegrityError):
+        gs = [[float(abs(v)) for v in basis.eval_basis(j, zs)] for j in range(1, sym.m + 1)]
+    except (ValueError, cpoly.RootFindingError):
         return
     points = list(zip(zs.real.tolist(), zs.imag.tolist()))
     with _csv_open(outdir / "odekernel_gj_samples.csv",
@@ -231,8 +228,10 @@ def cmd_kernel(parser, args) -> int:
     if outdir is not None:
         for i, s in enumerate(report.basis):
             s.to_csv(outdir / f"kernel_basis_seed{i}.csv")
-        if isinstance(sym, SpecialFamilySymbol):
+        if not isinstance(sym, SpecialFamilySymbol):
             _write_gj_samples(outdir, sym, config)
+        elif sym.gamma != 0:
+            _write_gj_samples(outdir, sym.as_harmonic(), config)
     _write_summary(outdir, "kernel", config, payload)
     print(f"kernel dim: {report.dim if report.dim is not None else 'undecided'}")
     for i, v in enumerate(report.verdicts):

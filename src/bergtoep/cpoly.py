@@ -58,6 +58,12 @@ class CPoly:
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
+    def split(self) -> tuple[int, "CPoly"]:
+        """(g, P) with self(z) = P(z^g): g is the gcd of the exponents of
+        the nonconstant terms, 1 when there are none."""
+        g = math.gcd(*(k for k, c in enumerate(self.coeffs) if k and c)) or 1
+        return g, CPoly.make(self.coeffs[::g])
+
     def __call__(self, z: complex) -> complex:
         """Horner evaluation at z."""
         acc = 0j

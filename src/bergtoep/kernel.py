@@ -17,11 +17,12 @@ and kernel_dimension takes (m, f) as shorthand for zbar_power_plus(m, f),
 and a family symbol with gamma != 0 as psi = phi/gamma (same kernel), so
 one recursion serves all.  d_{m+k} reads d_{m+k-i} (anti_i != 0) and
 d_{k-i} (a_i != 0) only, so the positions split into residue classes mod
-the gcd g of the shifts i and m + i (g = m + n for conj(z)^m + c z^n, and
-g = m for the family with beta != 0: its t = z^m), each a recursion of
-its own.  A unit seed lies in one class, and only that class is
-computed and stored; every other entry is the signed zero the full
-recursion computes from zeros.
+the gcd g of the shifts i and m + i, the exponents of phi_0's nonconstant
+terms (`CPoly.split` gives g and the P with phi_0(z) = P(z^g); g = m + n
+for conj(z)^m + c z^n, and g = m for the family with beta != 0: its
+t = z^m), each a recursion of its own.  A unit seed lies in one class,
+and only that class is computed and stored; every other entry is the
+signed zero the full recursion computes from zeros.
 Membership of the resulting power series in the Bergman space is decided
 from the asymptotics of the recursion: the coefficient functions
 converge, so consecutive-term ratios stabilize at a characteristic root
@@ -83,6 +84,7 @@ seed verdict that is still wrong at that K.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -184,13 +186,11 @@ def _log_moduli(mods: list, scales: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_gcd(sym: HarmonicPolySymbol) -> int:
-    """The gcd g (1 for none) of the shifts the kernel recursion reads back
-    by: i for anti_i != 0 and m + i for a_i != 0, the exponents of phi_0's
-    nonconstant terms, so that phi_0(z) = P(z^g)."""
-    m = sym.m
-    return math.gcd(*(i for i, c in enumerate(sym.anti, start=1) if c != 0),
-                    *(m + i for i, a in enumerate(sym.ana) if a != 0)) or 1
+@functools.lru_cache(maxsize=16)
+def _class_gcd(sym: HarmonicPolySymbol) -> int:
+    """The g of associated_poly(sym).split(), cached: recursion_general runs
+    once per seed and K, and symbols that compare equal share their g."""
+    return associated_poly(sym).split()[0]
 
 
 def _class_run(vals: list, mods: list, q: int, hi: int, p: int, stride: int, m: int,
@@ -265,7 +265,7 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     seed = [complex(v) for v in seed]
     if not all(map(cmath.isfinite, seed)):
         raise ValueError("seed must be finite")
-    g = _shift_gcd(sym)
+    g = _class_gcd(sym)
     classes = {j % g for j, v in enumerate(seed) if v or math.copysign(1.0, v.imag) < 0}
     stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
     # the reads as class offsets back, (i / stride, c, m - i) and ((m + i) / stride, a);
@@ -527,8 +527,7 @@ def kernel_dimension(sym: KernelInput, K: int = 20000, ratio_tol: float = 1e-3) 
     elif not isinstance(sym, HarmonicPolySymbol):
         sym = zbar_power_plus(*sym)
     m = sym.m
-    g = _shift_gcd(sym)
-    poly = _cp.CPoly.make(associated_poly(sym).coeffs[::g])   # phi_0(z) = P(z^g)
+    g, poly = associated_poly(sym).split()   # phi_0(z) = P(z^g)
 
     def run(k):
         return [recursion_general(sym, _unit_seed(m, j), k) for j in range(m)]

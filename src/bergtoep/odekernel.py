@@ -1,48 +1,49 @@
-"""Closed-form kernel basis for conj(z)^m + alpha z^m + beta.
+"""Closed-form kernel basis for conj(z)^m + f.
 
-When the quadratic phi_0(u) = alpha u^2 + beta u + 1 has two distinct
-roots t_0, t_1 with |t_i| > 1, the kernel of the operator is
-m-dimensional and is carried by the integrating factor G_0, the solution
-of G_0'/G_0 = m / (z phi_0(z^m)) that behaves like z^m / H(0) at the
-origin, H(0) = (-t_0)^{-e_1} (-t_1)^{e_2} with e_1 = t_1/(t_0 - t_1) and
-e_2 = t_0/(t_0 - t_1) (the product formula in the roots is
-`oracles.g0_eval`).  In u = z^m, G_0 = u / (H(0) W(u)), where W(0) = 1
-and phi_0 W' = (beta + alpha u) W, so W = sum_k w_k u^k with the
-three-term recurrence
+When phi_0(z) = 1 + z^m f(z) has no zero in the closed unit disk, the
+kernel of the operator is m-dimensional and is carried by the integrating
+factor G_0, the solution of G_0'/G_0 = m / (z phi_0(z)) with G_0 = z^m
+V(z), V(0) = 1.  Write phi_0(z) = P(t), t = z^g, with g the gcd of the
+exponents of phi_0's nonconstant terms (`cpoly.CPoly.split`), and W = 1/V
+as a series in t.  Then t P W' = (m/g) (P - 1) W, so W = sum_k w_k t^k
+with w_0 = 1 and, for P = sum_i p_i t^i,
 
-    w_0 = 1,  w_{-1} = 0,  (n + 1) w_{n+1} = beta (1 - n) w_n + alpha (2 - n) w_{n-1}.
+    g (n + 1) w_{n+1} = sum_{i >= 1} p_i (m - g (n + 1 - i)) w_{n+1-i}.
 
+For the family (P = 1 + beta t + alpha t^2, g = m) this is the three-term
+recurrence (n + 1) w_{n+1} = beta (1 - n) w_n + alpha (2 - n) w_{n-1}.
 The basis functions are
 
-    g_1(z) = G_0(z) / (z phi_0(z^m)) = z^{m-1} / (H(0) phi_0(u) W(u)),
-    g_j(z) = -g_1(z) int_0^z t^{j-2} / G_0(t) dt
-           = -z^{j-2} sum_k w_k u^k / (j - 1 - m + mk) / (phi_0(u) W(u)),
+    g_1(z) = G_0(z) / (z phi_0(z)) = z^{m-1} / (P(t) W(t)),
+    g_j(z) = -g_1(z) int_0^z s^{j-2} / G_0(s) ds
+           = -z^{j-2} sum_k w_k t^k / (j - 1 - m + g k) / (P(t) W(t)),
 
 for 2 <= j <= m, with the integral's additive constant fixed to zero (the
-constant direction is g_1 itself).  The k = 0 term is the singular
-monomial's closed form, and j - 1 - m + mk never vanishes, so no
-logarithm occurs.
+constant direction is g_1 itself).  No logarithm occurs: phi_0 - 1 =
+O(z^m), so W - 1 = O(z^m), and w_k is exactly zero wherever j - 1 - m +
+g k vanishes (0 < g k < m); those terms are skipped.
 
-Both series converge like (|u| / min |t_i|)^k, so eval_basis sums D =
-ceil(log eps / log(max |u| / min |t_i|)) + _MARGIN terms by Horner at all
+Both series converge like (|t| / r)^k, r the smallest zero modulus of P
+(infinite for a constant P, as for conj(z)^m alone), so eval_basis sums
+D = ceil(log eps / log(max |t| / r)) + _MARGIN terms by Horner at all
 points at once.  It refuses with ValueError when D exceeds _MAX_TERMS (a
-point too close to the circle for a t-root too close to it), or when a
-sum's running error bound eps sum_k |c_k| |u|^k (Higham, Accuracy and
+point too close to the circle for a zero too close to it), or when a
+sum's running error bound eps sum_k |c_k| |t|^k (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 5) exceeds _EVAL_BOUND times its
 value at some point: the series then cancels too much to be trusted, as
-for t-roots within a few hundredths of the circle.  The checks on the basis
-(the product formula, Taylor coefficients, residual, span) are in
-`bergtoep.oracles`.
+for zeros within a few hundredths of the circle.  The checks on the basis
+(the family's product formula, Taylor coefficients, residual, span) are
+in `bergtoep.oracles`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from . import cpoly
+from .symbols import HarmonicPolySymbol, associated_poly
 
 _EPS = float(np.finfo(float).eps)
 # terms beyond the geometric estimate of D
@@ -67,54 +68,37 @@ def _horner(c: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class OdeKernelBasis:
-    """The t-roots and the normalisation H(0) behind g_1..g_m.
+    """g_1..g_m of sym = conj(z)^m + f from phi_0 = P(z^g) (g, P) and the
+    smallest zero modulus of P (radius, inf for a constant P).
 
-    Construction checks the factorization alpha (t - t_0)(t - t_1) of
-    alpha t^2 + beta t + 1, and that the roots are distinct and of
-    modulus greater than one.
+    Construction refuses (ValueError) a symbol with a nonzero anti
+    coefficient or a zero of phi_0 in the closed unit disk; the zero count
+    may raise cpoly.RootFindingError.
     """
 
-    def __init__(self, m: int, alpha: complex, beta: complex):
-        if m < 1:
-            raise ValueError("m must be positive")
-        alpha = complex(alpha)
-        beta = complex(beta)
-        if alpha == 0:
-            raise ValueError("alpha must be nonzero for the closed-form basis")
-        t0, t1 = cpoly.roots(cpoly.CPoly.make([1.0, beta, alpha]))
-        if abs(t0 - t1) <= 1e-12 * max(abs(t0), abs(t1)):
-            raise ValueError("repeated root t_0 = t_1 is not supported")
-        if min(abs(t0), abs(t1)) <= 1.0:
-            raise ValueError(
-                f"roots must lie outside the closed unit disk, got moduli "
-                f"{abs(t0):.6f}, {abs(t1):.6f}")
-        self.m = m
-        self.alpha = alpha
-        self.beta = beta
-        self.z0m = t0
-        self.z1m = t1
-        # factorization sanity: alpha (t-t0)(t-t1) == alpha t^2 + beta t + 1
-        scale = max(1.0, abs(alpha), abs(beta))
-        if abs(alpha * t0 * t1 - 1.0) > 1e-10 * scale or \
-           abs(alpha * (t0 + t1) + beta) > 1e-10 * scale:
-            raise cpoly.NumericIntegrityError("quadratic factorization check failed")
-        e1 = t1 / (t0 - t1)
-        e2 = t0 / (t0 - t1)
-        if abs(e2 - e1 - 1.0) > 1e-9:
-            raise cpoly.NumericIntegrityError("exponent pair does not differ by 1")
-        # H(0) = (-t0)^{-e1} (-t1)^{e2} with principal anchors
-        self._h0 = cmath.exp(-e1 * cmath.log(-t0) + e2 * cmath.log(-t1))
+    def __init__(self, sym: HarmonicPolySymbol):
+        if any(sym.anti):
+            raise ValueError("the closed-form basis needs conj(z)^m + f")
+        self.sym = sym
+        self.m = sym.m
+        self.g, self.P = associated_poly(sym).split()
+        self.radius = min(cpoly.zero_pattern(self.P, 0.0).moduli, default=math.inf)
+        if self.radius <= 1.0:
+            raise ValueError(f"phi_0 has a zero of modulus {self.radius:.6f} "
+                             f"in the closed unit disk")
+        self._p = [(i, c) for i, c in enumerate(self.P.coeffs) if i and c]
+        self._w = [1.0 + 0j]   # w_0, w_1, ..., as many as a call has needed
 
-    def _coefficients(self, u: np.ndarray) -> np.ndarray:
-        """w_0..w_{D-1} of W, D enough terms for every u."""
-        ratio = float(np.max(np.abs(u), initial=0.0)) / min(abs(self.z0m), abs(self.z1m))
+    def _coefficients(self, t: np.ndarray) -> np.ndarray:
+        """w_0..w_{D-1} of W, D enough terms for every t."""
+        ratio = float(np.max(np.abs(t), initial=0.0)) / self.radius
         terms = _MARGIN + (math.ceil(math.log(_EPS) / math.log(ratio)) if ratio else 0)
         if terms > _MAX_TERMS:
             raise ValueError(f"the series needs {terms} terms, more than {_MAX_TERMS}")
-        w = [1.0 + 0j, self.beta]
-        for n in range(1, terms - 1):
-            w.append((self.beta * (1 - n) * w[n] + self.alpha * (2 - n) * w[n - 1]) / (n + 1))
-        return np.array(w)
+        m, g, w = self.m, self.g, self._w
+        for k in range(len(w), terms):   # w_k from w_{k-i}, k = n + 1; none before w_0
+            w.append(sum(c * (m - g * (k - i)) * w[k - i] for i, c in self._p if i <= k) / (g * k))
+        return np.array(w[:terms])
 
     def eval_basis(self, j: int, z):
         """g_j at points z inside the unit disk, 1 <= j <= m."""
@@ -126,11 +110,13 @@ class OdeKernelBasis:
         if np.any(np.abs(z) >= 1.0):
             raise ValueError("basis functions are evaluated on |z| < 1")
         m = self.m
-        u = z**m
-        w = self._coefficients(u)
-        den = (1.0 + self.beta * u + self.alpha * u * u) * _horner(w, u)
+        t = z**self.g
+        w = self._coefficients(t)
+        den = cpoly.eval_poly_many(self.P.coeffs, t) * _horner(w, t)
         if j == 1:
-            out = z ** (m - 1) / (self._h0 * den)
+            out = z ** (m - 1) / den
         else:
-            out = -z ** (j - 2) * _horner(w / (j - 1 - m + m * np.arange(w.size)), u) / den
+            e = j - 1 - m + self.g * np.arange(w.size)
+            c = np.divide(w, e, out=np.zeros_like(w), where=e != 0)   # w_k = 0 where e = 0
+            out = -z ** (j - 2) * _horner(c, t) / den
         return complex(out[0]) if scalar else out

@@ -234,10 +234,15 @@ _RADIUS = 0.9
 _EVAL_NOISE = 1e-12
 
 
-def ode_exponents(basis: odekernel.OdeKernelBasis) -> tuple[complex, complex]:
-    """e_1 = t_1/(t_0 - t_1) and e_2 = t_0/(t_0 - t_1) of the t-roots."""
-    t0, t1 = basis.z0m, basis.z1m
-    return t1 / (t0 - t1), t0 / (t0 - t1)
+def ode_exponents(basis: odekernel.OdeKernelBasis) -> tuple[complex, ...]:
+    """(t_0, t_1, e_1, e_2): the roots of alpha t^2 + beta t + 1 for the
+    basis of the family symbol conj(z)^m + beta + alpha z^m, alpha != 0,
+    and the exponents e_1 = t_1/(t_0 - t_1), e_2 = t_0/(t_0 - t_1)."""
+    m, f = basis.m, basis.sym.ana
+    if len(f) != m + 1 or any(f[1:m]):
+        raise ValueError("not a family symbol with alpha != 0")
+    t0, t1 = cpoly.roots(CPoly.make([1.0, f[0], f[m]]))
+    return t0, t1, t1 / (t0 - t1), t0 / (t0 - t1)
 
 
 def _log1p(w: np.ndarray) -> np.ndarray:
@@ -248,30 +253,28 @@ def _log1p(w: np.ndarray) -> np.ndarray:
 def g0_log_v(basis: odekernel.OdeKernelBasis, u) -> np.ndarray:
     """log V(u) = e_1 Log(1 - u/t_0) - e_2 Log(1 - u/t_1) at u = z^m.
 
-    G_0 = z^m V(z^m) / H(0): since |t_i| > 1, 1 - u/t_i stays in the right
-    half plane on the disk and the principal logarithm is the branch.
+    G_0 = z^m V(z^m) with V(0) = 1: since |t_i| > 1, 1 - u/t_i stays in the
+    right half plane on the disk and the principal logarithm is the branch.
     """
     u = np.asarray(u, dtype=complex)
-    e1, e2 = ode_exponents(basis)
-    return e1 * _log1p(-u / basis.z0m) - e2 * _log1p(-u / basis.z1m)
+    t0, t1, e1, e2 = ode_exponents(basis)
+    return e1 * _log1p(-u / t0) - e2 * _log1p(-u / t1)
 
 
 def g0_eval(basis: odekernel.OdeKernelBasis, z):
-    """The integrating factor G_0 = z^m (z^m - t_0)^{e_1} / (z^m - t_1)^{e_2}
-    at z in the open unit disk, from the product formula in the t-roots,
-    the exponents and the branch anchors Log(-t_i) at z = 0.
+    """The integrating factor G_0 = z^m (1 - z^m/t_0)^{e_1} / (1 - z^m/t_1)^{e_2}
+    of a family basis at z in the open unit disk, from the product formula
+    in its t-roots and exponents.
 
     It is the second route to the series of `odekernel`: `TestG0` checks
     it against closed forms and its logarithmic derivative m / (z (alpha
-    z^{2m} + beta z^m + 1)), and g_1 = G_0 / (z phi_0(z^m)) against it.
+    z^{2m} + beta z^m + 1)), and g_1 = G_0 / (z phi_0(z)) against it.
     """
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("G_0 is defined on |z| < 1")
-    e1, e2 = ode_exponents(basis)
-    h0 = cmath.exp(-e1 * cmath.log(-basis.z0m) + e2 * cmath.log(-basis.z1m))
     zm = z**basis.m
-    out = zm * np.exp(g0_log_v(basis, zm)) / h0
+    out = zm * np.exp(g0_log_v(basis, zm))
     return out if out.shape else complex(out)
 
 
@@ -303,7 +306,7 @@ def residual_check(basis: odekernel.OdeKernelBasis, j: int, K: int = 50) -> floa
     truncation are scored.
     """
     coeffs = taylor_coefficients(basis, j, K)
-    out = apply_symbol(SpecialFamilySymbol(basis.m, basis.alpha, basis.beta), coeffs)
+    out = apply_symbol(basis.sym, coeffs)
     cut = K - 2 * basis.m
     if cut < 1:
         raise ValueError("K too small relative to m")
@@ -534,9 +537,8 @@ def span_angle(basis: odekernel.OdeKernelBasis, K: int) -> float:
     """Largest principal angle between the spans of the first K Taylor
     coefficients of g_1..g_m and of the m unit-seed kernel recursions."""
     m = basis.m
-    psi = SpecialFamilySymbol(m, basis.alpha, basis.beta).as_harmonic()
     ode = np.vstack([taylor_coefficients(basis, j, K) for j in range(1, m + 1)])
-    rec = np.vstack([kernel.recursion_general(psi, np.eye(m)[j], K - 1).coefficients()
+    rec = np.vstack([kernel.recursion_general(basis.sym, np.eye(m)[j], K - 1).coefficients()
                      for j in range(m)])
     qa, _ = np.linalg.qr(ode.conj().T)
     qb, _ = np.linalg.qr(rec.conj().T)
@@ -547,14 +549,16 @@ def span_angle(basis: odekernel.OdeKernelBasis, K: int) -> float:
 
 
 def check_odekernel_span(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        # t-roots of modulus 1.2..3 at random angles: alpha t^2 + beta t + 1
-        t0, t1 = rng.uniform(1.2, 3.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
-        basis = odekernel.OdeKernelBasis(int(rng.integers(1, 5)), 1.0 / (t0 * t1),
-                                         -(t0 + t1) / (t0 * t1))
-        # K = 60: the FFT's aliasing stays near 1e-13 even for m = 4 and |t| = 1.2
-        worst = max(worst, span_angle(basis, 60))
+    worst, done = 0.0, 0
+    while done < trials:
+        # conj(z)^m + f, m = 1..4, n = 0..3, with every phi_0 zero of modulus
+        # 1.2 or more; at K = 60 the FFT's aliasing stays near 1e-13
+        m, n = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        f = (rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) / 1.2 ** np.arange(m, m + n + 1)
+        sym = symbols.zbar_power_plus(m, f)
+        if min(cpoly.zero_pattern(symbols.associated_poly(sym), 0.0).moduli) >= 1.2:
+            done += 1
+            worst = max(worst, span_angle(odekernel.OdeKernelBasis(sym), 60))
     return worst < 1e-9, {"trials": trials, "worst_subspace_angle": worst}
 
 

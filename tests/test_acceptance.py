@@ -140,7 +140,7 @@ def test_criterion_5_ode_kernel_agreement():
         # grid points satisfy |alpha| < 1 and 1 - |alpha|^2 > |alpha conj(beta) - beta|
         assert abs(alpha) < 1
         assert 1 - abs(alpha) ** 2 > abs(alpha * beta.conjugate() - beta)
-        basis = OdeKernelBasis(m, alpha, beta)
+        basis = OdeKernelBasis(SpecialFamilySymbol(m, alpha, beta).as_harmonic())
         angle = oracles.span_angle(basis, K)
         assert angle < 1e-6, (m, alpha, beta, angle)
         worst_angle = max(worst_angle, angle)

@@ -90,7 +90,7 @@ class TestKernelCommand:
         assert out.startswith("kernel dim: 2\n") and "Traceback" not in err
         samples = (tmp_path / "odekernel_gj_samples.csv").read_text().splitlines()
         assert len(samples) == 482
-        basis = odekernel.OdeKernelBasis(2, alpha, beta)
+        basis = odekernel.OdeKernelBasis(SpecialFamilySymbol(2, alpha, beta).as_harmonic())
         assert oracles.span_angle(basis, 40) < 1e-6
         assert max(oracles.residual_check(basis, j) for j in (1, 2)) <= 1e-6
 
@@ -104,6 +104,28 @@ class TestKernelCommand:
         assert out.startswith("kernel dim: 1\n") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "kernel_basis_seed0.csv", "kernel_summary.json"]
+
+    def test_gj_samples_for_conj_z_power_plus_f(self, capsys, tmp_path):
+        # conj(z)^2 + 0.5 z^2 is the family m=2, alpha=0.5, beta=0 as psi: the
+        # same basis, so the same samples under another config line
+        sym = '{"m": 2, "anti": [[0, 0]], "ana": [[0, 0], [0, 0], [0.5, 0]]}'
+        fam = "m=2,alpha=0.5,beta=0"
+        assert run(["kernel", "--symbol", sym, "--out", str(tmp_path / "s")]) == 0
+        assert run(["kernel", "--family", fam, "--out", str(tmp_path / "f")]) == 0
+        capsys.readouterr()
+        got, want = ((tmp_path / d / "odekernel_gj_samples.csv").read_text().splitlines()
+                     for d in "sf")
+        assert len(got) == 482 and got[1:] == want[1:]
+
+    def test_gj_samples_skipped_when_zero_count_fails(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise cpoly.RootFindingError("boom")
+        monkeypatch.setattr(cpoly, "zero_pattern", fail)
+        sym = '{"m": 2, "anti": [[0, 0]], "ana": [[0, 0], [0, 0], [0.5, 0]]}'
+        assert run(["kernel", "--symbol", sym, "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "odekernel_gj_samples.csv").exists()
+        assert (tmp_path / "kernel_summary.json").exists()
 
     def test_non_member_seed_at_index_m_is_undecided(self, capsys):
         # t-roots 1.001 and 1.002, both outside the disk: index m = 1, so the

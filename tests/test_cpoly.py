@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from bergtoep import cpoly, oracles, spectrum
 from bergtoep.cpoly import CPoly, ZeroPattern
-from bergtoep.symbols import associated_poly, zbar_power_plus
+from bergtoep.symbols import HarmonicPolySymbol, associated_poly, zbar_power_plus
 
 
 def rng():
@@ -32,6 +34,48 @@ class TestEval:
     def test_factored(self):
         p = CPoly.make([2, -3, 1])  # (z-1)(z-2)
         assert abs(p(2)) < 1e-14
+
+
+def shift_gcd(sym):
+    """The gcd (1 for none) of the kernel recursion's shifts: i for anti_i != 0
+    and m + i for a_i != 0, as the kernel computed it before CPoly.split."""
+    m = sym.m
+    return math.gcd(*(i for i, c in enumerate(sym.anti, start=1) if c != 0),
+                    *(m + i for i, a in enumerate(sym.ana) if a != 0)) or 1
+
+
+def split_corpus():
+    """Seeded harmonic symbols with entries zeroed at random, conj(z)^m
+    alone and a constant phi_0 among them."""
+    gen = np.random.default_rng(77)
+    syms = [zbar_power_plus(3, [0]), zbar_power_plus(1, [0, 0, 0]),
+            HarmonicPolySymbol(2, (0j,), (0.5,)), zbar_power_plus(2, [0, 0, 0.5])]
+    for _ in range(300):
+        m, n = int(gen.integers(1, 6)), int(gen.integers(0, 6))
+        keep = gen.uniform(size=m + n) < gen.uniform()
+        cs = (gen.normal(size=m + n) + 1j * gen.normal(size=m + n)) * keep
+        syms.append(HarmonicPolySymbol(m, tuple(cs[:m - 1]), tuple(cs[m - 1:])))
+    return syms
+
+
+class TestSplit:
+    def test_gcd_and_coefficients(self):
+        gs = set()
+        for sym in split_corpus():
+            phi0 = associated_poly(sym)
+            g, P = phi0.split()
+            assert g == shift_gcd(sym)
+            gs.add(g)
+            # P(z^g) is phi_0 coefficient by coefficient
+            spread = [0j] * (g * P.degree + 1)
+            spread[::g] = P.coeffs
+            assert tuple(spread) == phi0.coeffs
+        assert {1, 2, 3, 4} <= gs
+
+    def test_constant_and_zero(self):
+        assert CPoly.make([2]).split() == (1, CPoly.make([2]))
+        assert CPoly.make([0]).split() == (1, CPoly.make([0]))
+        assert CPoly.make([1, 0, 0, 3j]).split() == (3, CPoly.make([1, 3j]))
 
 
 class TestRoots:

@@ -4,7 +4,12 @@ import pytest
 from bergtoep import kernel, oracles
 from bergtoep.odekernel import OdeKernelBasis
 from bergtoep.oracles import g0_eval, residual_check, taylor_coefficients
-from bergtoep.symbols import SpecialFamilySymbol
+from bergtoep.symbols import HarmonicPolySymbol, SpecialFamilySymbol, zbar_power_plus
+
+
+def family(m, alpha, beta):
+    """The basis of conj(z)^m + alpha z^m + beta."""
+    return OdeKernelBasis(SpecialFamilySymbol(m, alpha, beta).as_harmonic())
 
 
 def subspace_angle(A, B):
@@ -24,43 +29,49 @@ def rel_err(got, want):
 
 class TestBasisConstruction:
     def test_quarter_case_fields(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
-        assert sorted([abs(b.z0m), abs(b.z1m)]) == pytest.approx([2.0, 2.0])
-        e1, e2 = oracles.ode_exponents(b)
+        # phi_0 = 1 + z^2/4 = P(z^2), P = 1 + t/4 with its zero at -4
+        b = family(1, 0.25, 0.0)
+        assert (b.g, b.P.coeffs, b.radius) == (2, (1, 0.25), pytest.approx(4.0))
+        t0, t1, e1, e2 = oracles.ode_exponents(b)
+        assert [abs(t0), abs(t1)] == pytest.approx([2.0, 2.0])
         assert e2 - e1 == pytest.approx(1.0)
         assert {complex(e1), complex(e2)} == {(-0.5 + 0j), (0.5 + 0j)}
 
     def test_root_inside_rejected(self):
         with pytest.raises(ValueError):
-            OdeKernelBasis(1, 2.0, 0.0)  # roots at modulus 1/sqrt(2)
+            family(1, 2.0, 0.0)  # roots at modulus 1/sqrt(2)
 
-    def test_repeated_root_rejected(self):
+    def test_anti_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            OdeKernelBasis(1, 0.25, 1.0)  # beta^2 = 4 alpha
+            OdeKernelBasis(HarmonicPolySymbol(2, (0.1,), (0.0, 0.2)))
 
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            OdeKernelBasis(1, 0.0, 0.5)
+    @pytest.mark.parametrize("alpha,beta", [(0.25, 1.0), (0.0, 0.5)])
+    def test_repeated_root_and_alpha_zero_build(self, alpha, beta):
+        # beta^2 = 4 alpha (a double t-root at -2) and a linear P
+        b = family(1, alpha, beta)
+        assert oracles.span_angle(b, 40) < 1e-9
 
 
 class TestG0:
     def test_value_at_origin(self):
+        # G_0 = z^m V(z^m) with V(0) = 1
         for m, a, be in ((1, 0.25, 0.0), (2, 0.1, 0.1), (3, 0.2, 0.1j)):
-            b = OdeKernelBasis(m, a, be)
+            b = family(m, a, be)
             assert g0_eval(b, 0.0) == 0
+            assert g0_eval(b, 1e-4) / 1e-4**m == pytest.approx(1.0, abs=1e-4)
 
     def test_closed_form_value(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
-        assert g0_eval(b, 0.5) == pytest.approx(0.5 / np.sqrt(4.25))
+        b = family(1, 0.25, 0.0)
+        assert g0_eval(b, 0.5) == pytest.approx(1 / np.sqrt(4.25))
         zs = np.array([0.3 + 0.2j, -0.5j, 0.7])
-        want = zs / np.sqrt(zs**2 + 4)
+        want = 2 * zs / np.sqrt(zs**2 + 4)
         assert np.allclose(g0_eval(b, zs), want, rtol=1e-12)
 
     def test_log_derivative_identity(self):
         gen = np.random.default_rng(8)
         h = 1e-6
         for m, a, be in ((1, 0.25, 0.0), (2, 0.1, 0.1), (3, 0.15, 0.05j)):
-            b = OdeKernelBasis(m, a, be)
+            b = family(m, a, be)
             pts = 0.8 * np.sqrt(gen.uniform(0.01, 1, 100)) * \
                 np.exp(2j * np.pi * gen.uniform(size=100))
             num = (g0_eval(b, pts + h) - g0_eval(b, pts - h)) / (2 * h)
@@ -70,7 +81,7 @@ class TestG0:
             assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-8
 
     def test_domain_enforced(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
+        b = family(1, 0.25, 0.0)
         with pytest.raises(ValueError):
             g0_eval(b, 1.2)
 
@@ -78,7 +89,7 @@ class TestG0:
         # the series against the product formula: g_1 = G_0 / (z phi_0(z^m))
         gen = np.random.default_rng(9)
         for m, a, be in ((1, 0.25, 0.0), (2, 0.1, 0.1), (3, 0.15, 0.05j)):
-            b = OdeKernelBasis(m, a, be)
+            b = family(m, a, be)
             pts = 0.95 * np.sqrt(gen.uniform(0.01, 1, 100)) * \
                 np.exp(2j * np.pi * gen.uniform(size=100))
             zm = pts**m
@@ -88,27 +99,27 @@ class TestG0:
 
 class TestBasisFunctions:
     def test_g1_quarter_closed_form(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
-        assert b.eval_basis(1, 0.0) == pytest.approx(0.5)
+        b = family(1, 0.25, 0.0)
+        assert b.eval_basis(1, 0.0) == 1.0
         zs = np.array([0.1, 0.4 - 0.3j, 0.8j])
-        want = 4 * (zs**2 + 4) ** -1.5
+        want = 8 * (zs**2 + 4) ** -1.5
         assert np.allclose(b.eval_basis(1, zs), want, rtol=1e-12)
 
     def test_j_out_of_range(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
+        b = family(1, 0.25, 0.0)
         with pytest.raises(ValueError):
             b.eval_basis(2, 0.1)
 
     def test_g1_coefficients_proportional_to_recursion(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
+        b = family(1, 0.25, 0.0)
         coeffs = taylor_coefficients(b, 1, 12)
         stream = oracles.closed_form_kernel_czn(1, 1, 0.25, 0, 11).coefficients()
-        # (1 + z^2/4)^(-3/2) versus 4 (z^2+4)^(-3/2): ratio 1/2 throughout
-        assert coeffs[0] == pytest.approx(0.5)
-        assert np.allclose(coeffs, 0.5 * stream, rtol=0, atol=1e-9)
+        # both are (1 + z^2/4)^(-3/2)
+        assert coeffs[0] == pytest.approx(1.0)
+        assert np.allclose(coeffs, stream, rtol=0, atol=1e-9)
 
     def test_zero_points_and_scalar_input(self):
-        b = OdeKernelBasis(3, 0.2, 0.1j)
+        b = family(3, 0.2, 0.1j)
         zs = np.array([0j, 0.3 - 0.2j, 0j, 0j])
         for j in (1, 2, 3):
             got = b.eval_basis(j, zs)
@@ -121,7 +132,7 @@ class TestBasisFunctions:
         assert b.eval_basis(2, 0.0) == pytest.approx(0.5)
 
     def test_bounded_near_boundary(self):
-        b = OdeKernelBasis(2, 0.1, 0.1)
+        b = family(2, 0.1, 0.1)
         zs = 0.99 * np.exp(2j * np.pi * np.arange(32) / 32)
         for j in (1, 2):
             vals = b.eval_basis(j, zs)
@@ -131,21 +142,21 @@ class TestBasisFunctions:
 
 class TestResiduals:
     def test_m1_quarter(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
+        b = family(1, 0.25, 0.0)
         assert residual_check(b, 1) <= 1e-10
 
     def test_m2_both_basis_functions(self):
-        b = OdeKernelBasis(2, 0.1, 0.1)
+        b = family(2, 0.1, 0.1)
         for j in (1, 2):
             assert residual_check(b, j) <= 1e-10
 
     def test_m3(self):
-        b = OdeKernelBasis(3, 0.2, 0.1j)
+        b = family(3, 0.2, 0.1j)
         for j in (1, 2, 3):
             assert residual_check(b, j) <= 1e-10
 
     def test_extraction_guard(self):
-        b = OdeKernelBasis(1, 0.25, 0.0)
+        b = family(1, 0.25, 0.0)
         with pytest.raises(oracles.ExtractionError):
             taylor_coefficients(b, 1, 400)
 
@@ -158,13 +169,43 @@ class TestSpanAgreement:
         (3, 0.2, 0.1j),
     ])
     def test_matches_recursion_span(self, m, alpha, beta):
-        b = OdeKernelBasis(m, alpha, beta)
+        b = family(m, alpha, beta)
         K = 40
         ode = np.vstack([taylor_coefficients(b, j, K) for j in range(1, m + 1)])
         psi = SpecialFamilySymbol(m, alpha, beta).as_harmonic()
         rec = np.vstack([kernel.recursion_general(psi, np.eye(m)[j], K - 1).coefficients()
                          for j in range(m)])
         assert subspace_angle(ode, rec) < 1e-9
+
+    def test_general_f_matches_recursion_span(self):
+        # conj(z)^m + f, m = 1..4, n = 0..3, every phi_0 zero of modulus
+        # 1.2 or more; f's lower coefficients are zero a third of the time,
+        # so that g runs over 1, m and m + n, and conj(z)^4 + 0.2 + 0.1 z^2
+        # has g = 2 < m, where w_1 / (j - 1 - m + g) is the skipped 0/0 at j = 3
+        gen = np.random.default_rng(31)
+        bases = [OdeKernelBasis(zbar_power_plus(4, [0.2, 0, 0.1]))]
+        while len(bases) < 60:
+            m, n = int(gen.integers(1, 5)), int(gen.integers(0, 4))
+            f = (gen.normal(size=n + 1) + 1j * gen.normal(size=n + 1)) * \
+                (gen.uniform(size=n + 1) > 1 / 3) / 1.2 ** np.arange(m, m + n + 1)
+            f[n] = f[n] or 0.5 / 1.2 ** (m + n)
+            try:
+                b = OdeKernelBasis(zbar_power_plus(m, f))
+            except ValueError:   # a phi_0 zero in the closed disk
+                continue
+            if b.radius ** (1 / b.g) >= 1.2:
+                bases.append(b)
+        assert {b.g > b.m for b in bases} == {True, False} and bases[0].g == 2
+        assert max(oracles.span_angle(b, 60) for b in bases) < 1e-9
+
+    def test_conj_z_power_alone(self):
+        # phi_0 = 1: the kernel of T_{conj(z)^m} is spanned by 1, ..., z^{m-1}
+        b = OdeKernelBasis(zbar_power_plus(3, [0]))
+        assert (b.g, b.P.coeffs, b.radius) == (1, (1,), np.inf)
+        zs = np.array([0.3 + 0.2j, -0.7j])
+        assert np.allclose(b.eval_basis(1, zs), zs**2, rtol=1e-15)
+        assert np.allclose(b.eval_basis(2, zs), 0.5, rtol=1e-15)
+        assert np.allclose(b.eval_basis(3, zs), zs, rtol=1e-15)
 
 
 # --- the series against a per-point quadrature of the product formula ---
@@ -224,7 +265,8 @@ def ref_eval_basis(b, j, z, quad_tol=1e-12):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     m = b.m
     zm = z**m
-    phi0 = 1.0 + b.beta * zm + b.alpha * zm**2
+    beta, alpha = b.sym.ana[0], b.sym.ana[m]
+    phi0 = 1.0 + beta * zm + alpha * zm**2
     if j == 1:
         with np.errstate(invalid="ignore"):
             out = g0_eval(b, z) / (z * phi0)
@@ -260,7 +302,7 @@ def _engine_corpus():
         while sum(c[0].m == m for c in cases) < 2:
             alpha, beta = (complex(*gen.normal(scale=0.3, size=2)) for _ in range(2))
             try:
-                cases.append((OdeKernelBasis(m, alpha, beta), pts))
+                cases.append((family(m, alpha, beta), pts))
             except ValueError:
                 continue
     return cases
@@ -279,7 +321,7 @@ class TestSeries:
     def test_term_cap_refuses(self):
         # a t-root at 1.001: |u| = 0.99 needs about 3,300 terms, 0.999 about 18,000
         t0, t1 = 1.001, 5.0
-        b = OdeKernelBasis(1, 1 / (t0 * t1), -(t0 + t1) / (t0 * t1))
+        b = family(1, 1 / (t0 * t1), -(t0 + t1) / (t0 * t1))
         assert np.all(np.isfinite(b.eval_basis(1, [0.5, 0.99])))
         with pytest.raises(ValueError, match="terms"):
             b.eval_basis(1, 0.999)
@@ -288,7 +330,7 @@ class TestSeries:
         # t-roots 1.001 and 1.002: W is tiny near u = 0.95, where its series
         # cancels terms about 1e10 times larger than its value
         t0, t1 = 1.001, 1.002
-        b = OdeKernelBasis(1, 1 / (t0 * t1), -(t0 + t1) / (t0 * t1))
+        b = family(1, 1 / (t0 * t1), -(t0 + t1) / (t0 * t1))
         assert np.all(np.isfinite(b.eval_basis(1, [0.3, -0.95])))
         with pytest.raises(ValueError, match="rounding"):
             b.eval_basis(1, 0.95)

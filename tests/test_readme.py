@@ -43,4 +43,5 @@ def test_library_tour_claims():
     grid = ns["grid"]
     assert grid.certified.tolist() == [False, True]
     assert grid.bounded.tolist() == [True, False]
+    assert values["basis.eval_basis(1, 0.0)"] == 1.0
     assert values["bt.oracles.residual_check(basis, 1)"] <= 1e-12

@@ -133,21 +133,36 @@ class TestSpectrumMembership:
         assert near < 1e-7
         assert far == pytest.approx(1.0, rel=1e-4)
 
-    def test_special_family_as_general_symbol_hypothesis_gap(self):
-        # conj(z)^2 + 0.25 z^2 written with q = z^2: the shifted associated
-        # polynomial is a quadratic in z^2, so its zeros come in equal-modulus
-        # groups and the distinct-moduli hypothesis honestly fails for m >= 2.
-        # The family-specific route still resolves the same point.
+    def test_special_family_as_general_symbol_certified_on_split(self):
+        # conj(z)^2 + 0.25 z^2 written with q = z^2: phi_lam is a quadratic
+        # P_lam in t = z^2, so its zeros come in equal-modulus pairs; the
+        # distinct-moduli test runs on P_lam, whose zeros are apart, and
+        # agrees with the family route
         sym = HarmonicPolySymbol(2, (0j,), (0.0, 0.0, 0.25))
         lam = 3.0 + 0.0j
         v = membership_grid(sym, [lam])[0]
-        assert v.status == spectrum.ASSUMPTION_FAILED
+        assert v.status == spectrum.OUT_CERTIFIED
         assert v.winding == 0
+        assert v.poincare_moduli == pytest.approx((0.3431457505, 11.656854249))
         assert family_verdict(SpecialFamilySymbol(2, 0.25, 0.0), lam) == (spectrum.EXTERIOR, 0)
-        # for m = 1 the same configuration certifies
+        # for m = 1 the same configuration certifies on phi_lam itself
         sym1 = HarmonicPolySymbol(1, (), (0.0, 0.25))
         v1 = membership_grid(sym1, [3.0])[0]
         assert v1.status == spectrum.OUT_CERTIFIED
+
+    def test_split_grid_points_match_family_region(self):
+        # conj(z)^2 + 0.5 z^2: exterior points certify on P_lam (g = 2)
+        sym = HarmonicPolySymbol(2, (0j,), (0.0, 0.0, 0.5))
+        family = SpecialFamilySymbol(2, 0.5, 0.0)
+        lams = [2.5, 2j, -2.2 + 1j]
+        for lam, v in zip(lams, membership_grid(sym, lams)):
+            assert family_region(family, lam) == spectrum.EXTERIOR
+            assert (v.status, len(v.poincare_moduli)) == (spectrum.OUT_CERTIFIED, 2)
+
+    def test_conj_z_power_alone_certifies_outside_the_disk(self):
+        # phi_lam = 1 - lam z^3 = P_lam(z^3), one zero; sigma is the closed disk
+        v = membership_grid(HarmonicPolySymbol(3, (0j, 0j), (0j,)), [1.5j])[0]
+        assert (v.status, v.poincare_moduli) == (spectrum.OUT_CERTIFIED, (pytest.approx(2 / 3),))
 
 
 class TestSpecialFamilyRegion:
@@ -319,7 +334,7 @@ GRID_SHAPES = [(1, 2), (2, 1), (2, 2), (3, 1), (1, 0), (2, 0)]
 def grid_symbols():
     """Two seeded symbols per shape: random coefficients, and phi_0 built
     from zeros of distinct moduli; for (2, 0) the second is conj(z)^2 + a_0,
-    whose phi_lam has two zeros of equal modulus."""
+    whose phi_lam = P_lam(z^2) has two zeros of equal modulus."""
     gen = np.random.default_rng(11)
     for m, n in GRID_SHAPES:
         yield HarmonicPolySymbol(m, tuple(complex(*gen.uniform(-1, 1, 2)) for _ in range(m - 1)),
@@ -358,10 +373,12 @@ class TestMembershipGrid:
         refined = 0
         for sym in grid_symbols():
             lams = padded_grid(sym)
-            for curve_tol in (1e-6, 0.05):
-                want, exc = one_point_answers(sym, lams, curve_tol=curve_tol)
+            # rel_tol 0.5 fails the distinct-moduli test at some points: the
+            # split leaves no generic point with equal moduli at 1e-6
+            for tols in ({"curve_tol": 1e-6}, {"curve_tol": 0.05, "rel_tol": 0.5}):
+                want, exc = one_point_answers(sym, lams, **tols)
                 assert exc is None, exc
-                got = spectrum.membership_grid(sym, lams, curve_tol=curve_tol)
+                got = spectrum.membership_grid(sym, lams, **tols)
                 assert [repr(v) for v in got] == want
                 for v in got:
                     statuses[v.status] = statuses.get(v.status, 0) + 1
