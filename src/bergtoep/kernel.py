@@ -84,7 +84,6 @@ seed verdict that is still wrong at that K.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -186,13 +185,6 @@ def _log_moduli(mods: list, scales: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _class_gcd(sym: HarmonicPolySymbol) -> int:
-    """The g of associated_poly(sym).split(), cached: recursion_general runs
-    once per seed and K, and symbols that compare equal share their g."""
-    return associated_poly(sym).split()[0]
-
-
 def _class_run(vals: list, mods: list, q: int, hi: int, p: int, stride: int, m: int,
                anti: list, ana: list, hard: float) -> int:
     """Class entries q..hi-1, at positions p, p + stride, ...; every read
@@ -265,7 +257,7 @@ def recursion_general(sym: HarmonicPolySymbol, seed: Sequence[complex],
     seed = [complex(v) for v in seed]
     if not all(map(cmath.isfinite, seed)):
         raise ValueError("seed must be finite")
-    g = _class_gcd(sym)
+    g = associated_poly(sym).split()[0]
     classes = {j % g for j, v in enumerate(seed) if v or math.copysign(1.0, v.imag) < 0}
     stride, r = (g, classes.pop()) if len(classes) == 1 else (1, 0)
     # the reads as class offsets back, (i / stride, c, m - i) and ((m + i) / stride, a);

@@ -24,16 +24,19 @@ O(z^m), so W - 1 = O(z^m), and w_k is exactly zero wherever j - 1 - m +
 g k vanishes (0 < g k < m); those terms are skipped.
 
 Both series converge like (|t| / r)^k, r the smallest zero modulus of P
-(infinite for a constant P, as for conj(z)^m alone), so eval_basis sums
-D = ceil(log eps / log(max |t| / r)) + _MARGIN terms by Horner at all
-points at once.  It refuses with ValueError when D exceeds _MAX_TERMS (a
-point too close to the circle for a zero too close to it), or when a
-sum's running error bound eps sum_k |c_k| |t|^k (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 5) exceeds _EVAL_BOUND times its
-value at some point: the series then cancels too much to be trusted, as
-for zeros within a few hundredths of the circle.  The checks on the basis
-(the family's product formula, Taylor coefficients, residual, span) are
-in `bergtoep.oracles`.
+(infinite for a constant P, as for conj(z)^m alone), so eval_basis starts
+from D = ceil(log eps / log(max |t| / r)) + _MARGIN terms.  At a zero of
+P of order q >= 2, W has an essential singularity and |w_k| grows like
+exp(c k^((q-1)/q)) r^-k, so D grows by _MARGIN while the last _MARGIN
+terms at max |t| exceed eps times the sum of all.  It sums by Horner at
+all points at once, and refuses with ValueError when D exceeds
+_MAX_TERMS (a point too close to the circle for a zero too close to
+it), or when a sum's running error bound eps sum_k |c_k| |t|^k (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 5) exceeds
+_EVAL_BOUND times its value at some point: the series then cancels too
+much to be trusted, as for zeros within a few hundredths of the circle.
+The checks on the basis (the family's product formula, Taylor
+coefficients, residual, span) are in `bergtoep.oracles`.
 """
 
 from __future__ import annotations
@@ -84,21 +87,26 @@ class OdeKernelBasis:
         self.g, self.P = associated_poly(sym).split()
         self.radius = min(cpoly.zero_pattern(self.P, 0.0).moduli, default=math.inf)
         if self.radius <= 1.0:
-            raise ValueError(f"phi_0 has a zero of modulus {self.radius:.6f} "
+            raise ValueError(f"phi_0 has a zero of modulus {self.radius ** (1 / self.g):.6f} "
                              f"in the closed unit disk")
         self._p = [(i, c) for i, c in enumerate(self.P.coeffs) if i and c]
         self._w = [1.0 + 0j]   # w_0, w_1, ..., as many as a call has needed
 
     def _coefficients(self, t: np.ndarray) -> np.ndarray:
         """w_0..w_{D-1} of W, D enough terms for every t."""
-        ratio = float(np.max(np.abs(t), initial=0.0)) / self.radius
+        rho = float(np.max(np.abs(t), initial=0.0))
+        ratio = rho / self.radius
         terms = _MARGIN + (math.ceil(math.log(_EPS) / math.log(ratio)) if ratio else 0)
-        if terms > _MAX_TERMS:
-            raise ValueError(f"the series needs {terms} terms, more than {_MAX_TERMS}")
         m, g, w = self.m, self.g, self._w
-        for k in range(len(w), terms):   # w_k from w_{k-i}, k = n + 1; none before w_0
-            w.append(sum(c * (m - g * (k - i)) * w[k - i] for i, c in self._p if i <= k) / (g * k))
-        return np.array(w[:terms])
+        while True:
+            if terms > _MAX_TERMS:
+                raise ValueError(f"the series needs {terms} terms, more than {_MAX_TERMS}")
+            for k in range(len(w), terms):   # w_k from w_{k-i}, k = n + 1; none before w_0
+                w.append(sum(c * (m - g * (k - i)) * w[k - i] for i, c in self._p if i <= k) / (g * k))
+            size = np.abs(w[:terms]) * rho ** np.arange(terms)
+            if size[-_MARGIN:].sum() <= _EPS * size.sum():
+                return np.array(w[:terms])
+            terms += _MARGIN
 
     def eval_basis(self, j: int, z):
         """g_j at points z inside the unit disk, 1 <= j <= m."""

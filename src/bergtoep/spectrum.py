@@ -228,14 +228,15 @@ def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
 
     Within curve_tol of the boundary curve: in_essential.  Nonzero winding:
     in_by_index.  Winding zero: the point is out of the spectrum provided
-    the P_lam with phi_lam(z) = P_lam(z^g), g the gcd of phi_lam's exponents
-    for lam != a_0, has zeros of distinct moduli (rel_tol; the recursion
-    asymptotics of each residue class mod g then certify invertibility);
-    when that hypothesis fails no verdict is claimed (assumption_failed).
+    the P_lam with phi_lam(z) = P_lam(z^g) (CPoly.split: g the gcd of
+    phi_lam's nonconstant exponents, the shifts of the kernel recursion at
+    lam) has zeros of distinct moduli (rel_tol; the recursion asymptotics
+    of each residue class mod g then certify invertibility); when that
+    hypothesis fails no verdict is claimed (assumption_failed).
     poincare_moduli are the zero moduli of P_lam, in t = z^g.
 
     The points share the curve stage (curve_windings), and the zeros of
-    every winding-zero phi_lam come from one cpoly.roots_many call.  Each
+    every winding-zero P_lam come from one cpoly.roots_many call.  Each
     point gets exactly the floating-point operations it gets alone, so a
     verdict does not depend on the other points.  When points raise, the
     exception of the first of them in the order of lams is raised.
@@ -245,12 +246,9 @@ def membership_grid(sym: HarmonicPolySymbol, lams, curve_tol: float = 1e-6,
     failed = [i for i, r in winds.items() if isinstance(r, Exception)]
     stop = min(failed, default=len(lams))
     zero = [i for i, r in winds.items() if i < stop and r.winding == 0]
-    g, P = associated_poly(sym).split()
-    g = math.gcd(sym.m, g) if P.degree else sym.m
-    polys = [associated_poly(sym, lams[i]) for i in zero]
     # the disk count goes unread, so the circle tolerance is 0
     zps = dict(zip(zero, cpoly.zero_patterns(
-        [CPoly.make(p.coeffs[::g]) for p in polys] if g > 1 else polys, 0.0)))
+        [associated_poly(sym, lams[i]).split()[1] for i in zero], 0.0)))
     if failed:
         raise winds[stop]
     verdicts = []

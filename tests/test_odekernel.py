@@ -38,8 +38,9 @@ class TestBasisConstruction:
         assert {complex(e1), complex(e2)} == {(-0.5 + 0j), (0.5 + 0j)}
 
     def test_root_inside_rejected(self):
-        with pytest.raises(ValueError):
-            family(1, 2.0, 0.0)  # roots at modulus 1/sqrt(2)
+        # phi_0 = 1 + 2 z^2 = P(z^2): the message gives phi_0's zero modulus, not P's 0.5
+        with pytest.raises(ValueError, match="modulus 0.707107 "):
+            family(1, 2.0, 0.0)
 
     def test_anti_coefficient_rejected(self):
         with pytest.raises(ValueError):
@@ -325,6 +326,21 @@ class TestSeries:
         assert np.all(np.isfinite(b.eval_basis(1, [0.5, 0.99])))
         with pytest.raises(ValueError, match="terms"):
             b.eval_basis(1, 0.999)
+
+    @pytest.mark.parametrize("m,g,a,pts", [
+        (1, 1, 1.3, _polar_points()), (2, 2, 1.3, _polar_points()), (1, 2, 1.1, _polar_points()),
+        (1, 1, 1.1, 0.95 * np.exp(2j * np.pi * np.arange(1, 24) / 24))])
+    def test_triple_zero_tail(self, m, g, a, pts):
+        # phi_0 = (1 - z^g/a)^3: log V = (m/g)(1/(2u^2) + 1/u - log u - 3/2),
+        # u = 1 - t/a, so w_k grows like exp(c k^(2/3)) a^-k and the geometric
+        # estimate of D leaves a tail of up to 2e-6 at these points; on the
+        # zero's ray at |z| = 0.95, a = 1.1, W cancels and the series refuses
+        cs = np.zeros(3 * g + 1, complex)
+        cs[::g] = [1, -3 / a, 3 / a**2, -1 / a**3]
+        b = OdeKernelBasis(zbar_power_plus(m, cs[m:]))
+        u = 1 - pts**g / a
+        want = pts ** (m - 1) * np.exp((m / g) * (0.5 / u**2 + 1 / u - np.log(u) - 1.5)) / u**3
+        assert rel_err(b.eval_basis(1, pts), want) < 1e-10
 
     def test_rounding_bound_refuses(self):
         # t-roots 1.001 and 1.002: W is tiny near u = 0.95, where its series
